@@ -58,7 +58,7 @@ from repro.core import (
     solve_common_release_fptas,
     solve_common_release_with_overhead,
 )
-from repro.core import fptas, vectorized
+from repro.core import fptas
 from repro.energy import account
 from repro.experiments import (
     ResultCache,
@@ -539,8 +539,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
             for t in tasks
         ],
     }
-    if args.numeric is not None:
-        wire["numeric"] = args.numeric
     if args.solver is not None:
         wire["solver"] = args.solver
     if args.epsilon is not None:
@@ -591,29 +589,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return report.exit_code
 
 
-def _add_numeric_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--numeric", choices=["scalar", "numpy", "jit"], default=None,
-        help="numeric backend for the solver hot paths "
-        "(default: $REPRO_NUMERIC, else numpy when importable; 'jit' uses "
-        "the compiled kernels and degrades to numpy/scalar with a warning "
-        "when no compiler backend is available)",
-    )
-
-
-def _apply_numeric_flag(args: argparse.Namespace) -> None:
-    """Pin the numeric backend process-wide before any command runs.
-
-    Also exported through the environment so pool workers inherit the
-    choice under both fork and spawn start methods.
-    """
-    backend = getattr(args, "numeric", None)
-    if backend is None:
-        return
-    os.environ[vectorized.BACKEND_ENV] = backend
-    vectorized.set_backend(backend)
-
-
 def _add_solver_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--solver", choices=list(fptas.SOLVER_TIERS), default=None,
@@ -628,7 +603,7 @@ def _add_solver_arg(parser: argparse.ArgumentParser) -> None:
 
 
 def _apply_solver_flag(args: argparse.Namespace) -> None:
-    """Pin the solver tier process-wide, mirroring the numeric flag.
+    """Pin the solver tier process-wide.
 
     Exported through the environment so pool workers (and any spawned
     subprocess) inherit the tier; the experiments cache keys on it, so a
@@ -652,7 +627,6 @@ def _apply_solver_flag(args: argparse.Namespace) -> None:
 
 
 def _add_engine_args(parser: argparse.ArgumentParser) -> None:
-    _add_numeric_arg(parser)
     _add_solver_arg(parser)
     parser.add_argument(
         "--workers", type=int, default=1,
@@ -688,7 +662,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--demo", action="store_true", help="use built-in demo tasks")
     p_solve.add_argument("--width", type=int, default=72, help="gantt width")
     _add_platform_args(p_solve)
-    _add_numeric_arg(p_solve)
     _add_solver_arg(p_solve)
     p_solve.set_defaults(func=_cmd_solve)
 
@@ -704,7 +677,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--gantt", action="store_true", help="print a gantt chart")
     p_sim.add_argument("--width", type=int, default=72)
     _add_platform_args(p_sim)
-    _add_numeric_arg(p_sim)
     _add_solver_arg(p_sim)
     p_sim.set_defaults(func=_cmd_simulate)
 
@@ -766,7 +738,6 @@ def build_parser() -> argparse.ArgumentParser:
         "trajectory entry for the same backend and slice (skipped when "
         "no comparable entry exists)",
     )
-    _add_numeric_arg(p_bench)
     _add_solver_arg(p_bench)
     p_bench.set_defaults(func=_cmd_bench)
 
@@ -842,7 +813,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="include the canonical per-job table in the JSON report",
     )
     _add_platform_args(p_replay)
-    _add_numeric_arg(p_replay)
     _add_solver_arg(p_replay)
     p_replay.set_defaults(func=_cmd_replay)
 
@@ -905,7 +875,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--stats", action="store_true",
         help="print a metrics snapshot from a running server and exit",
     )
-    _add_numeric_arg(p_serve)
     p_serve.set_defaults(func=_cmd_serve)
 
     p_submit = sub.add_parser(
@@ -942,7 +911,6 @@ def build_parser() -> argparse.ArgumentParser:
                           default="interactive")
     p_submit.add_argument("--timeout-ms", type=float, default=None,
                           dest="timeout_ms")
-    _add_numeric_arg(p_submit)
     _add_solver_arg(p_submit)
     p_submit.set_defaults(func=_cmd_submit)
 
@@ -1004,7 +972,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         parser = build_parser()
         args = parser.parse_args(argv)
-        _apply_numeric_flag(args)
         _apply_solver_flag(args)
         return args.func(args)
     except SystemExit as exc:

@@ -15,7 +15,8 @@ Modules map one-to-one onto the paper's sections:
 * :mod:`repro.core.reference` -- slow, brutally simple reference
   optimizers the test-suite certifies the fast schemes against;
 * :mod:`repro.core.vectorized` -- the batched NumPy numeric core behind
-  the block / case-scan hot paths (``REPRO_NUMERIC`` selects the backend);
+  the block / case-scan hot paths (compiled kernels take over the solver
+  inner loops whenever they load and pass their self-check);
 * :mod:`repro.core.fptas` -- the ε-approximate solver tier
   (``--solver exact|fptas``) for huge-n instances the exact DPs cannot
   reach (after Antoniadis, Huang & Ott, arXiv:1407.0892).
@@ -56,11 +57,7 @@ from repro.core.partitioned import (
     solve_partitioned_common_release,
 )
 from repro.core.islands import IslandSolution, solve_islands_common_release
-from repro.core.vectorized import (
-    available_backends,
-    get_backend,
-    set_backend,
-)
+from repro.core.vectorized import get_backend
 from repro.core.fptas import (
     get_solver_epsilon,
     get_solver_tier,
@@ -71,9 +68,7 @@ from repro.core.fptas import (
 )
 
 __all__ = [
-    "available_backends",
     "get_backend",
-    "set_backend",
     "get_solver_epsilon",
     "get_solver_tier",
     "set_solver_tier",

@@ -112,10 +112,9 @@ def solve_agreeable(
     ]
 
     # Price every consecutive block tau'[p:q] that can appear in an optimum.
-    # Under the numpy backend every subset's BlockArrays is a slice of the
-    # parent's (deadline order is preserved by slicing), so pre-seeding the
-    # arrays cache skips O(n^2) per-subset tuple unpacking.
-    use_numpy = vectorized.use_numpy()
+    # Every subset's BlockArrays is a slice of the parent's (deadline order
+    # is preserved by slicing), so pre-seeding the arrays cache skips O(n^2)
+    # per-subset tuple unpacking.
     block_solutions: Dict[Tuple[int, int], BlockSolution] = {}
     for p in range(n):
         spans_gap = False
@@ -124,8 +123,7 @@ def solve_agreeable(
                 spans_gap = True
             if prune_gaps and spans_gap:
                 continue
-            if use_numpy:
-                vectorized.register_subset_arrays(tasks, p, q)
+            vectorized.register_subset_arrays(tasks, p, q)
             block_solutions[(p, q)] = solve_block(
                 tasks.subset(p, q), platform, method=block_method
             )

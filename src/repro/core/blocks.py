@@ -42,7 +42,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Literal, Optional, Sequence, Tuple
 
-from repro.core import vectorized
+from repro.core import kernels, vectorized
 from repro.models.platform import Platform
 from repro.models.task import Task, TaskSet
 from repro.schedule.timeline import ExecutionInterval, Schedule
@@ -166,7 +166,7 @@ def block_energy(
     endpoints constantly (see the module-level cache note), and the memo
     returns the identical float the raw evaluation would.
     """
-    key = (vectorized.get_backend(), tasks.energy_signature(), platform, start, end)
+    key = (tasks.energy_signature(), platform, start, end)
     cached = _ENERGY_CACHE.get(key)
     if cached is not None:
         _ENERGY_CACHE.move_to_end(key)
@@ -186,27 +186,20 @@ def _block_energy_uncached(
 ) -> float:
     """The raw evaluation behind :func:`block_energy`.
 
-    Dispatches on the numeric backend: :func:`_block_energy_scalar` below
-    is the reference loop; the numpy path evaluates the same expression via
-    :func:`repro.core.vectorized.block_energy_batch` (a batch of one); the
-    jit path calls the compiled transcription directly, skipping the
-    ndarray round trip.
+    The compiled kernel evaluates it directly when the kernels are
+    available; otherwise :func:`repro.core.vectorized.block_energy_batch`
+    evaluates a batch of one.  :func:`_block_energy_scalar` below is the
+    reference loop both are checked against.
     """
     if vectorized.use_jit():
-        from repro.core import kernels
-
         return kernels.block_energy(tasks, platform, start, end)
-    if vectorized.use_numpy():
-        return float(
-            vectorized.block_energy_batch(tasks, platform, (start,), (end,))[0]
-        )
-    return _block_energy_scalar(tasks, platform, start, end)
+    return float(vectorized.block_energy_batch(tasks, platform, (start,), (end,))[0])
 
 
 def _block_energy_scalar(
     tasks: TaskSet, platform: Platform, start: float, end: float
 ) -> float:
-    """Reference scalar block energy.
+    """Reference scalar block energy (the kernels' self-check oracle).
 
     Infeasibility (empty window or forced overspeed) is reported as a large
     *graded* penalty so convex descent is steered back into the feasible
@@ -241,25 +234,13 @@ def _placements_at(
     Type-II / stretched tasks fill their window; Type-I tasks (``alpha !=
     0`` with slack) run at critical speed from the start of their window.
     """
-    if vectorized.use_numpy():
-        los, durations, speeds = vectorized.placement_arrays(
-            tasks, platform, start, end
+    los, durations, speeds = vectorized.placement_arrays(tasks, platform, start, end)
+    return tuple(
+        TaskPlacement(task.name, lo, lo + duration, speed)
+        for task, lo, duration, speed in zip(
+            tasks, los.tolist(), durations.tolist(), speeds.tolist()
         )
-        return tuple(
-            TaskPlacement(task.name, lo, lo + duration, speed)
-            for task, lo, duration, speed in zip(
-                tasks, los.tolist(), durations.tolist(), speeds.tolist()
-            )
-        )
-    placements: List[TaskPlacement] = []
-    for task in tasks:
-        lo, hi = _window(task, start, end)
-        min_duration = task.workload / platform.core.s_up
-        duration = _best_duration(task, platform, max(hi - lo, min_duration))
-        placements.append(
-            TaskPlacement(task.name, lo, lo + duration, task.workload / duration)
-        )
-    return tuple(placements)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +256,7 @@ def _minimize_2d(
     *,
     tol: float = 1e-9,
     max_rounds: int = 80,
+    stop_tol: Optional[float] = None,
 ) -> Tuple[float, float, float]:
     """Coordinate + diagonal descent for convex objectives with kinks.
 
@@ -282,9 +264,13 @@ def _minimize_2d(
     ``(1, 1)`` and ``(-1, 1)``) are performed; this escapes the
     axis-unaligned kinks introduced by the Type-I/Type-II boundary
     ``window == w / s_0``, where pure coordinate descent can stall.
+    ``tol`` is the line-search resolution; a round improving the value
+    by at most ``stop_tol`` (absolute, or relative above 1) ends the
+    descent, and ``stop_tol`` defaults to ``tol``.
     """
     x_lo, x_hi = x_bounds
     y_lo, y_hi = y_bounds
+    stop = tol if stop_tol is None else stop_tol
 
     def line(x: float, y: float, dx: float, dy: float) -> Tuple[float, float, float]:
         t_lo, t_hi = -_INF, _INF
@@ -318,7 +304,7 @@ def _minimize_2d(
             x, y, value_b = line(x, y, 0.0, 1.0)
             x, y, value_c = line(x, y, 1.0, 1.0)
             x, y, new_value = line(x, y, -1.0, 1.0)
-            if value - new_value <= max(tol, tol * abs(value)):
+            if value - new_value <= max(stop, stop * abs(value)):
                 value = min(value, new_value)
                 break
             value = new_value
@@ -416,7 +402,10 @@ def _minimize_2d_batch(
     return x.tolist(), y.tolist(), value.tolist()
 
 
-def _solve_block_descent(tasks: TaskSet, platform: Platform) -> BlockSolution:
+def _descent_box(
+    tasks: TaskSet,
+) -> Tuple[Tuple[float, float], Tuple[float, float], List[Tuple[float, float]]]:
+    """``(start bounds, end bounds, starting points)`` of the block descent."""
     first, last = tasks[0], tasks[-1]
     s_lo, s_hi = tasks.earliest_release, first.deadline
     e_lo, e_hi = last.release, tasks.latest_deadline
@@ -426,20 +415,23 @@ def _solve_block_descent(tasks: TaskSet, platform: Platform) -> BlockSolution:
         (s_lo, e_lo if e_lo > s_lo else e_hi),
         (s_hi, e_hi),
     ]
+    return (s_lo, s_hi), (e_lo, e_hi), starts
+
+
+def _solve_block_descent(tasks: TaskSet, platform: Platform) -> BlockSolution:
+    x_bounds, y_bounds, starts = _descent_box(tasks)
     if vectorized.use_jit():
         # One compiled call runs all starts' descents (same line-search
-        # sequence as _minimize_2d over the memoized scalar objective).
-        from repro.core import kernels
-
+        # sequence as _minimize_2d over the scalar objective).
         start, end, energy = kernels.solve_block_descent(
-            tasks, platform, (s_lo, s_hi), (e_lo, e_hi), starts
+            tasks, platform, x_bounds, y_bounds, starts
         )
-    elif vectorized.use_numpy():
+    else:
         xs, ys, values = _minimize_2d_batch(
             tasks,
             platform,
-            [(s_lo, s_hi)] * len(starts),
-            [(e_lo, e_hi)] * len(starts),
+            [x_bounds] * len(starts),
+            [y_bounds] * len(starts),
             starts,
         )
         best: Optional[Tuple[float, float, float]] = None
@@ -448,13 +440,6 @@ def _solve_block_descent(tasks: TaskSet, platform: Platform) -> BlockSolution:
                 best = (x, y, value)
         assert best is not None
         start, end, energy = best
-    else:
-        start, end, energy = _minimize_2d(
-            lambda s, e: block_energy(tasks, platform, s, e),
-            (s_lo, s_hi),
-            (e_lo, e_hi),
-            starts,
-        )
     if energy >= _PENALTY:
         raise ValueError("block infeasible: some task cannot meet its deadline")
     return BlockSolution(
@@ -515,7 +500,8 @@ def _solve_cell_alpha_zero(
         sum_tail (w / (e' - r))**lam = alpha_m / (beta (lam - 1))
 
     are solved by monotone bisection; otherwise (the Eq. (13) coupling) a
-    2-D descent inside the cell is used.
+    2-D descent inside the cell is used.  The scalar reference for
+    :func:`_sweep_cells_alpha_zero_numpy` (see :func:`_best_over_cells`).
     """
     core = platform.core
     lam, beta = core.lam, core.beta
@@ -793,8 +779,6 @@ def _sweep_cells_alpha_zero_numpy(
             return np.where(bad, _INF, powed.sum(axis=1) - target)
 
         if vectorized.use_jit():
-            from repro.core import kernels
-
             masks = np.ascontiguousarray(
                 head_mask[s_rows], dtype=np.uint8
             ).tobytes()
@@ -831,8 +815,6 @@ def _sweep_cells_alpha_zero_numpy(
             return np.where(bad, -_INF, target - powed.sum(axis=1))
 
         if vectorized.use_jit():
-            from repro.core import kernels
-
             masks = np.ascontiguousarray(
                 tail_mask[e_rows], dtype=np.uint8
             ).tobytes()
@@ -890,26 +872,39 @@ def _sweep_cells_alpha_zero_numpy(
     return best
 
 
-def _solve_block_pairs(tasks: TaskSet, platform: Platform) -> BlockSolution:
+def _best_over_cells(
+    tasks: TaskSet,
+    platform: Platform,
+    solve_cell: Callable[
+        [TaskSet, Platform, Tuple[float, float], Tuple[float, float]],
+        Tuple[float, float, float],
+    ],
+) -> Optional[Tuple[float, float, float]]:
+    """Cell-by-cell (i, j) sweep: the first strict win over every cell.
+
+    Runs Algorithm 1's eviction loops (``alpha != 0``), whose
+    data-dependent control flow stays scalar; with
+    :func:`_solve_cell_alpha_zero` it is the scalar reference for
+    :func:`_sweep_cells_alpha_zero_numpy`.
+    """
     s_cells, e_cells = _pair_cells(tasks)
-    if platform.core.alpha == 0.0 and vectorized.use_numpy():
+    best: Optional[Tuple[float, float, float]] = None
+    for s_cell in s_cells:
+        for e_cell in e_cells:
+            if e_cell[1] <= s_cell[0]:
+                continue  # empty busy interval everywhere in this cell
+            start, end, value = solve_cell(tasks, platform, s_cell, e_cell)
+            if best is None or value < best[2]:
+                best = (start, end, value)
+    return best
+
+
+def _solve_block_pairs(tasks: TaskSet, platform: Platform) -> BlockSolution:
+    if platform.core.alpha == 0.0:
+        s_cells, e_cells = _pair_cells(tasks)
         best = _sweep_cells_alpha_zero_numpy(tasks, platform, s_cells, e_cells)
     else:
-        # alpha != 0 runs Algorithm 1's eviction loops, whose data-dependent
-        # control flow stays scalar under every backend.
-        solve_cell = (
-            _solve_cell_alpha_zero
-            if platform.core.alpha == 0.0
-            else _solve_cell_alpha_nonzero
-        )
-        best = None
-        for s_cell in s_cells:
-            for e_cell in e_cells:
-                if e_cell[1] <= s_cell[0]:
-                    continue  # empty busy interval everywhere in this cell
-                start, end, value = solve_cell(tasks, platform, s_cell, e_cell)
-                if best is None or value < best[2]:
-                    best = (start, end, value)
+        best = _best_over_cells(tasks, platform, _solve_cell_alpha_nonzero)
     if best is None or best[2] >= _PENALTY:
         raise ValueError("block infeasible: some task cannot meet its deadline")
     start, end, energy = best
@@ -945,7 +940,7 @@ def solve_block(
         raise ValueError("block solving requires agreeable deadlines")
     if method not in ("descent", "pairs"):
         raise ValueError(f"unknown method {method!r}")
-    key = (vectorized.get_backend(), tasks.signature(), platform, method)
+    key = (tasks.signature(), platform, method)
     cached = _SOLUTION_CACHE.get(key)
     if cached is not None:
         _SOLUTION_CACHE.move_to_end(key)

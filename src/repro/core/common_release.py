@@ -152,13 +152,15 @@ def solve_common_release_alpha_zero(
     workloads = [t.workload for t in tasks]
     horizon = deadlines[-1]  # |I| = d_n
 
-    if method == "scan" and vectorized.use_numpy():
+    if method == "scan":
         delta_opt, energy_opt, case_idx = _scan_alpha_zero_numpy(
             deadlines, workloads, horizon, core, alpha_m
         )
         return _build_alpha_zero_solution(
             tasks, platform, release, horizon, delta_opt, energy_opt, case_idx
         )
+    if method != "binary":
+        raise ValueError(f"unknown method {method!r}")
 
     # delta_i = d_n - d_i for i in 1..n (1-based); delta_0 = +inf.
     delta_bp = [_INF] + [horizon - d for d in deadlines]
@@ -207,33 +209,9 @@ def solve_common_release_alpha_zero(
         cap = horizon - suffix_max_w[i] / core.s_up
         return lo, min(hi, cap)
 
-    def case_local_optimum(i: int) -> Optional[Tuple[float, float]]:
-        """(delta*, energy*) of Case i, or None if speed-infeasible."""
-        lo, hi = case_bounds(i)
-        if hi < lo:
-            return None
-        delta = min(max(case_extreme(i), lo), hi)
-        return delta, case_energy(i, delta)
-
-    if method == "scan":
-        best: Optional[Tuple[float, float, int]] = None
-        for i in range(1, n + 1):
-            local = case_local_optimum(i)
-            if local is None:
-                continue
-            delta, energy = local
-            if best is None or energy < best[1] - 1e-12:
-                best = (delta, energy, i)
-        if best is None:  # pragma: no cover - guarded by feasibility check
-            raise RuntimeError("no feasible case found")
-        delta_opt, energy_opt, case_idx = best
-    elif method == "binary":
-        delta_opt, energy_opt, case_idx = _binary_search_cases(
-            n, case_extreme, case_bounds, case_energy, delta_bp
-        )
-    else:
-        raise ValueError(f"unknown method {method!r}")
-
+    delta_opt, energy_opt, case_idx = _binary_search_cases(
+        n, case_extreme, case_bounds, case_energy, delta_bp
+    )
     return _build_alpha_zero_solution(
         tasks, platform, release, horizon, delta_opt, energy_opt, case_idx
     )
@@ -248,11 +226,12 @@ def _scan_alpha_zero_numpy(
 ) -> Tuple[float, float, int]:
     """Theorem 2's case scan with every per-case quantity batched.
 
-    Array transcription of the scalar scan: the prefix/suffix accumulation
-    order matches (``cumsum`` is sequential), each case's energy/extreme
-    expression is written in the same operation order, and the selection
-    rule is the same first-strict-win walk -- so both backends return the
-    same case away from 1e-12-degenerate ties.
+    Array transcription of the per-case formulas the binary search walks:
+    the prefix/suffix accumulation order matches (``cumsum`` is
+    sequential), each case's energy/extreme expression is written in the
+    same operation order, and the selection rule is a first-strict-win
+    walk -- so both methods return the same case away from
+    1e-12-degenerate ties.
     """
     np = vectorized.np
     lam, beta = core.lam, core.beta
@@ -399,16 +378,20 @@ def solve_common_release_alpha_nonzero(
     core = platform.core
     if core.alpha <= 0.0:
         raise ValueError("alpha must be positive; use the alpha=0 scheme")
-    alpha = core.alpha
-    alpha_m = platform.memory.alpha_m
-    lam, beta = core.lam, core.beta
     release = _prepare_common_release(tasks)
     if not tasks.is_feasible_at(core.s_up):
         raise ValueError("task set infeasible even at s_up")
+    return _solve_alpha_nonzero_numpy(tasks, platform, release)
 
-    if vectorized.use_numpy():
-        return _solve_alpha_nonzero_numpy(tasks, platform, release)
 
+def _solve_alpha_nonzero_scalar(
+    tasks: TaskSet, platform: Platform, release: float
+) -> CommonReleaseSolution:
+    """Theorem 3's case scan as a per-case loop: the scalar reference the
+    tests pin :func:`_solve_alpha_nonzero_numpy` against."""
+    core = platform.core
+    alpha, alpha_m = core.alpha, platform.memory.alpha_m
+    lam, beta = core.lam, core.beta
     # Sort by completion time at critical speed (paper's indexing).
     order = sorted(tasks, key=lambda t: t.workload / core.s0(t))
     n = len(order)
@@ -492,8 +475,8 @@ def _solve_alpha_nonzero_numpy(
     """Theorem 3's case scan, batched over all ``n`` cases at once.
 
     Same transcription discipline as :func:`_scan_alpha_zero_numpy`: the
-    critical speeds, completion order (stable argsort matches the scalar
-    stable sort), prefix/suffix accumulations and per-case expressions all
+    critical speeds, completion order (stable argsort matches the stable
+    sort of :func:`_solve_alpha_nonzero_scalar`), prefix/suffix accumulations and per-case expressions all
     reproduce the scalar operation order.
     """
     np = vectorized.np

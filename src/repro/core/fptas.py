@@ -43,9 +43,8 @@ so :func:`solve_agreeable_fptas_columns` — which never materializes
 per-task ``Task`` objects — runs the O(m^2) DP only inside small
 clusters and handles n in the 10^3–10^5 range.
 
-The module also owns the process-wide *solver tier* selection mirrored
-on :mod:`repro.core.vectorized`'s backend switch: ``REPRO_SOLVER_TIER``
-/ ``REPRO_SOLVER_EPSILON`` environment variables, a programmatic
+The module also owns the process-wide *solver tier* selection:
+``REPRO_SOLVER_TIER`` / ``REPRO_SOLVER_EPSILON`` environment variables, a programmatic
 override (:func:`set_solver_tier`), and :func:`solver_cache_component`
 for cache keys so exact and fptas results can never alias.
 """
@@ -59,13 +58,13 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core import vectorized
 from repro.core.agreeable import AgreeableSolution
-from repro.core.blocks import BlockSolution, TaskPlacement
+from repro.core.blocks import BlockSolution, TaskPlacement, _minimize_2d
 from repro.core.common_release import CommonReleaseSolution
 from repro.core.transition import _schedule_geometry, overhead_energy_at_delta
 from repro.models.platform import Platform
 from repro.models.task import Task, TaskSet
 from repro.units import MS, SCALAR, UJ, unit
-from repro.utils.solvers import golden_section_minimize, record_solver_call
+from repro.utils.solvers import record_solver_call
 
 __all__ = [
     "DEFAULT_EPSILON",
@@ -92,13 +91,7 @@ DEFAULT_EPSILON = 0.1
 #: the block-energy evaluators (they start at ``vectorized._PENALTY``).
 _INFEASIBLE_FLOOR = 1e29
 
-#: Per-axis cap on endpoint-grid resolution.  ``ceil(span / pitch)``
-#: exceeds this only on pathological span/workload ratios; the pitch is
-#: then widened to keep the search bounded (the ε guarantee loosens only
-#: on those instances, never silently on normal ones).
-_GRID_MAX_POINTS = 20000
-
-#: Coordinate-descent sweeps before snapping onto the ε-grid.
+#: Coordinate + diagonal descent rounds before snapping onto the ε-grid.
 _DESCENT_ROUNDS = 3
 
 _tier_override: Optional[str] = None
@@ -106,7 +99,7 @@ _epsilon_override: Optional[float] = None
 
 
 # ---------------------------------------------------------------------------
-# Tier selection (mirrors repro.core.vectorized's backend switch)
+# Tier selection
 # ---------------------------------------------------------------------------
 
 
@@ -265,9 +258,10 @@ def _price_block_discrete(
     descend from ``end_hi`` (its last deadline) in multiples of ``step``.
     The landscape is the same one the exact tier minimizes with 2-D
     convex descent (``blocks._solve_block_descent``), so the continuous
-    minimum is located the same way — per-axis golden-section coordinate
-    descent — and then snapped *outward* onto the grid (start down, end
-    up: windows only widen).  An outward-biased neighborhood around the
+    minimum is located the same way — ``blocks._minimize_2d``'s coordinate
+    and diagonal golden-section descent, at pitch resolution — and then
+    snapped *outward* onto the grid (start down, end up: windows only
+    widen).  An outward-biased neighborhood around the
     snap absorbs descent landing within a pitch of the true optimum, so
     the evaluated set always contains the outward-rounded grid point the
     (1 + 2δ) bound argues about.
@@ -282,33 +276,28 @@ def _price_block_discrete(
     span = end_hi - start_lo
     if span <= 0.0:
         return None
+    # The grid is never enumerated (only a neighborhood of the descent's
+    # landing point is), so its size is not capped: widening the pitch
+    # on long spans would break the (1 + 2δ) bound.
     count = int(math.ceil(span / step))
-    if count > _GRID_MAX_POINTS:
-        count = _GRID_MAX_POINTS
-        step = span / count
     top = count - 1 if count > 1 else 0
     s_box = end_hi if start_hi is None else min(max(start_hi, start_lo), end_hi)
     e_box = start_lo if end_lo is None else min(max(end_lo, start_lo), end_hi)
 
     # Descent error up to one pitch keeps the outward snap's -2..+1
     # neighborhood covering the true optimum's outward-rounded grid point.
-    tol = max(step, 1e-12)
-    s_cur, e_cur = start_lo, end_hi
-    f_cur = evaluate(s_cur, e_cur)
-    for _ in range(_DESCENT_ROUNDS):
-        f_before = f_cur
-        s_new, f_s = golden_section_minimize(
-            lambda x: evaluate(x, e_cur), start_lo, s_box, tol=tol
-        )
-        if f_s < f_cur:
-            s_cur, f_cur = s_new, f_s
-        e_new, f_e = golden_section_minimize(
-            lambda y: evaluate(s_cur, y), e_box, end_hi, tol=tol
-        )
-        if f_e < f_cur:
-            e_cur, f_cur = e_new, f_e
-        if f_before - f_cur <= 1e-12 * max(abs(f_before), 1.0):
-            break
+    # The diagonal line searches matter: when every window is wide the
+    # objective is a valley along (1, 1) (only the busy length counts),
+    # where coordinate moves alone stall far from the optimum.
+    s_cur, e_cur, _value = _minimize_2d(
+        evaluate,
+        (start_lo, s_box),
+        (e_box, end_hi),
+        [(start_lo, end_hi)],
+        tol=max(step, 1e-12),
+        max_rounds=_DESCENT_ROUNDS,
+        stop_tol=1e-12,
+    )
 
     best_value = math.inf
     best_i = 0
@@ -439,8 +428,8 @@ def _scalar_placements(
     """Per-task placements at ``[start, end]``, scalar path only.
 
     Mirrors ``blocks._placements_at``'s reference branch; the fptas tier
-    uses it on every backend so its schedules (like its prices) are
-    backend-independent floats.
+    uses it on every engine so its schedules (like its prices) are
+    engine-independent floats.
     """
     core = platform.core
     placements: List[TaskPlacement] = []
@@ -731,7 +720,7 @@ def solve_agreeable_fptas_columns(
     runs only inside multi-task clusters on index slices.  Both paths
     share the scalar pricing evaluator, so energies are float-identical
     with :func:`solve_agreeable_fptas` on the same trace and independent
-    of the numeric backend (the bench's huge-n slice checks this).
+    of the numeric engine (the bench's huge-n slice checks this).
     """
     eps = _validate_epsilon(get_solver_epsilon() if epsilon is None else epsilon)
     n = len(releases)

@@ -1,13 +1,15 @@
-"""Compiled solver kernels backing the ``REPRO_NUMERIC=jit`` backend.
+"""Compiled solver kernels: the ``jit`` engine's inner loops.
 
-This package owns every numba/cffi import in the tree (lint rule BCK004
-enforces that) and hides provider selection behind a tiny protocol:
+This package owns every cffi import in the tree (lint rule BCK004
+enforces that) and hides the provider behind a tiny protocol:
 
-* :func:`load` resolves a provider once per process -- numba preferred,
-  cffi-compiled C as fallback -- and **self-checks** it against the pure
-  Python references before accepting it.  A provider whose output drifts
-  from the reference by even one bit on the row-identity-critical kernels
-  is demoted, so "jit available" always implies "jit agrees".
+* :func:`load` builds the cffi-compiled C provider once per process, on
+  first use, and **self-checks** it against the pure Python references
+  before accepting it.  A provider whose output drifts from the reference
+  by even one bit on the row-identity-critical kernels is demoted (with
+  one :class:`JitUnavailableWarning`), so "kernels available" always
+  implies "kernels agree".  A host without cffi or a C compiler simply
+  runs the numpy engine, silently.
 * :func:`available` / :func:`load_error` report the outcome;
   :func:`warm_up` forces compilation outside timed regions;
   :func:`cache_dir` / :func:`clear` manage the on-disk compile cache.
@@ -16,15 +18,12 @@ enforces that) and hides provider selection behind a tiny protocol:
   :func:`solve_block_descent`, :func:`overhead_energy_small`,
   :func:`powersum_roots`) adapt task-set/platform objects to the raw
   array protocol, caching the flattened platform parameters.
-
-The package deliberately uses no numpy of its own (the providers handle
-their array layouts), so the jit backend still functions -- and degrades
-cleanly -- on hosts without numpy.
 """
 
 from __future__ import annotations
 
 import threading
+import warnings
 from typing import Any, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.core.kernels._csource import REPRO_KERNELS_ABI, REPRO_MAX_SMALL
@@ -55,13 +54,14 @@ __all__ = [
 
 
 class JitUnavailableWarning(RuntimeWarning):
-    """Structured warning for jit-backend degradation (never an error)."""
+    """Kernels built but failed their self-check; numpy serves instead."""
 
 
 _lock = threading.Lock()
 _provider: Optional[Any] = None
 _load_attempted = False
 _load_error: Optional[str] = None
+_demotion_warned = False
 
 _PARAMS_LIMIT = 64
 _params_cache: dict = {}
@@ -144,7 +144,7 @@ def _self_check(provider: Any) -> Optional[str]:
 
     Returns an error description on the first mismatch, ``None`` when the
     provider is trustworthy.  The overhead solve and block energy must be
-    *bit-identical* (they drive cross-backend row identity); the descent
+    *bit-identical* (they drive cross-engine row identity); the descent
     and root finds may differ by at most 1e-9 (their output feeds rounded
     schedule rows).
     """
@@ -235,42 +235,48 @@ def _self_check(provider: Any) -> Optional[str]:
     return None
 
 
-def _resolve_provider() -> Tuple[Optional[Any], Optional[str]]:
-    errors: List[str] = []
-    for label, factory in (
-        ("numba", "_numba_provider"),
-        ("cffi", "_cffi_provider"),
-    ):
-        try:
-            module = __import__(
-                f"repro.core.kernels.{factory}", fromlist=["build"]
-            )
-            candidate = module.build()
-        except Exception as exc:  # pragma: no cover - provider-dependent
-            errors.append(f"{label}: {type(exc).__name__}: {exc}")
-            continue
-        try:
-            failure = _self_check(candidate)
-        except Exception as exc:  # pragma: no cover - provider-dependent
-            failure = f"self-check raised {type(exc).__name__}: {exc}"
-        if failure is None:
-            return candidate, None
-        errors.append(f"{label}: {failure}")  # pragma: no cover
-    return None, "; ".join(errors) if errors else "no providers registered"
+def _resolve_provider() -> Tuple[Optional[Any], Optional[str], bool]:
+    """``(provider, error, demoted)``: ``demoted`` is True when the kernels
+    built but failed (or crashed) their self-check."""
+    try:
+        from repro.core.kernels import _cffi_provider
+
+        candidate = _cffi_provider.build()
+    except Exception as exc:  # pragma: no cover - host-dependent
+        return None, f"cffi: {type(exc).__name__}: {exc}", False
+    try:
+        failure = _self_check(candidate)
+    except Exception as exc:
+        failure = f"self-check raised {type(exc).__name__}: {exc}"
+    if failure is None:
+        return candidate, None, False
+    return None, f"cffi: {failure}", True
 
 
 def load() -> bool:
-    """Resolve and self-check a provider once per process; True on success."""
-    global _provider, _load_attempted, _load_error
+    """Resolve and self-check the provider once per process; True on success.
+
+    A provider that builds but fails its self-check emits one
+    :class:`JitUnavailableWarning` per process; a host that cannot build
+    the kernels at all (no cffi, no compiler) stays silent.
+    """
+    global _provider, _load_attempted, _load_error, _demotion_warned
     if _load_attempted:
         return _provider is not None
     with _lock:
         if _load_attempted:
             return _provider is not None
-        provider, error = _resolve_provider()
+        provider, error, demoted = _resolve_provider()
         _provider = provider
         _load_error = error
         _load_attempted = True
+    if demoted and not _demotion_warned:
+        _demotion_warned = True
+        warnings.warn(
+            f"compiled kernels demoted, numpy engine serves instead ({error})",
+            JitUnavailableWarning,
+            stacklevel=2,
+        )
     return _provider is not None
 
 
@@ -280,12 +286,12 @@ def available() -> bool:
 
 
 def provider_name() -> Optional[str]:
-    """``"numba"`` / ``"cffi"`` after a successful load, else ``None``."""
+    """``"cffi"`` after a successful load, else ``None``."""
     return getattr(_provider, "name", None) if load() else None
 
 
 def load_error() -> Optional[str]:
-    """Why the jit tier is unavailable (``None`` when it is available)."""
+    """Why the kernels are unavailable (``None`` when they are available)."""
     load()
     return _load_error
 
@@ -322,7 +328,7 @@ def warm_up() -> Optional[str]:
     """Force provider resolution + compilation now; returns provider name.
 
     Benches call this before timing so first-call JIT/compile cost never
-    pollutes measured numbers.  Harmless no-op when jit is unavailable.
+    pollutes measured numbers.  Harmless no-op when the kernels are unavailable.
     """
     if not load():
         return None

@@ -1,12 +1,11 @@
-"""C source for the compiled solver kernels (the ``jit`` backend).
+"""C source for the compiled solver kernels (the ``jit`` engine).
 
 Every function is a line-for-line transcription of a pure-Python reference
 in :mod:`repro.core.vectorized`, :mod:`repro.core.blocks` or
-:mod:`repro.utils.solvers`.  The providers compile this source (cffi) or
-re-derive the same algorithms (numba); either way the load-time self-check
-in :mod:`repro.core.kernels` compares the compiled output against the
-Python references before the provider is accepted, so numerical drift can
-demote a provider but never corrupt results.
+:mod:`repro.utils.solvers`.  The cffi provider compiles this source; the
+load-time self-check in :mod:`repro.core.kernels` compares the compiled
+output against the Python references before the provider is accepted, so
+numerical drift can demote the kernels but never corrupt results.
 
 Bit-identity notes (the reason the transcriptions look pedantic):
 

@@ -24,46 +24,32 @@ This module provides the batched counterparts:
 * :func:`schedule_geometry_arrays` -- the vectorized constrained-critical-
   speed geometry (natural finish times) behind ``_schedule_geometry``.
 
-Backend selection is process-wide: ``REPRO_NUMERIC=scalar|numpy|jit`` in
-the environment, or :func:`set_backend` for programmatic control (the
-CLI's ``--numeric`` flag).  When unset, the numpy backend is used whenever
-numpy imports; the scalar path needs nothing beyond the standard library.
-The ``jit`` backend layers the compiled kernels of
-:mod:`repro.core.kernels` (numba or cffi-compiled C) on top of the numpy
-engine paths; when no compiled provider is importable the request
-degrades to numpy (or scalar) with a single :class:`JitUnavailableWarning
-<repro.core.kernels.JitUnavailableWarning>` instead of failing mid-run.
-The property tests in ``tests/test_numeric_backends.py`` and
-``tests/test_jit_backend.py`` assert all backends agree to 1e-9 on
-randomized task sets, so paper-fidelity tests keep pinning the closed
-forms no matter which backend runs them.
+Engine selection is the platform's, not the caller's: numpy always runs
+these engine paths, and the compiled kernels of :mod:`repro.core.kernels`
+(cffi-compiled C) take over the solver inner loops whenever they build
+and pass their load-time self-check -- resolved lazily, once per process,
+on the first solve.  :func:`get_backend` names the engine that resulted
+(``"jit"`` or ``"numpy"``).  The tests pin both engines against the scalar
+reference routines to 1e-9 on randomized task sets, so paper-fidelity
+tests keep pinning the closed forms whichever engine runs them.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-try:  # numpy is an optional accelerator, never a hard dependency
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised on numpy-less CI legs
-    np = None  # type: ignore[assignment]
+import numpy as np
 
+from repro.core import kernels
 from repro.models.platform import Platform
 from repro.models.task import TaskSet
 
 __all__ = [
-    "HAS_NUMPY",
-    "BACKEND_ENV",
-    "available_backends",
     "get_backend",
-    "get_backend_override",
-    "set_backend",
-    "use_numpy",
     "use_jit",
     "BlockArrays",
     "block_arrays",
@@ -89,133 +75,22 @@ __all__ = [
     "segments_feasible_batch",
 ]
 
-HAS_NUMPY = np is not None
-
-#: Environment variable selecting the numeric backend.
-BACKEND_ENV = "REPRO_NUMERIC"
-
 _PENALTY = 1e30
 _INF = float("inf")
 
-_BACKENDS = ("scalar", "numpy", "jit")
-_backend_override: Optional[str] = None
-_jit_fallback_warned = False
 
+def use_jit() -> bool:
+    """True when the compiled kernels serve the solver inner loops.
 
-def available_backends() -> Tuple[str, ...]:
-    """Backends usable in this process.
-
-    ``numpy`` appears only when numpy imports; ``jit`` only when a
-    compiled kernel provider loads *and* passes its self-check (see
-    :func:`repro.core.kernels.available`).
+    The first call builds and self-checks the kernels (see
+    :func:`repro.core.kernels.load`); later calls read the cached outcome.
     """
-    names = ["scalar"]
-    if HAS_NUMPY:
-        names.append("numpy")
-    from repro.core import kernels
-
-    if kernels.available():
-        names.append("jit")
-    return tuple(names)
-
-
-def _jit_fallback() -> str:
-    """Resolve an unavailable ``jit`` request to the next-best backend.
-
-    Emits one structured :class:`~repro.core.kernels.JitUnavailableWarning`
-    per process (satellite: degradation must never crash mid-run, and must
-    not spam a warning per solve).
-    """
-    global _jit_fallback_warned
-    from repro.core import kernels
-
-    fallback = "numpy" if HAS_NUMPY else "scalar"
-    if not _jit_fallback_warned:
-        _jit_fallback_warned = True
-        import warnings
-
-        warnings.warn(
-            "numeric backend 'jit' requested but no compiled kernel "
-            f"provider is usable ({kernels.load_error()}); falling back "
-            f"to '{fallback}'",
-            kernels.JitUnavailableWarning,
-            stacklevel=3,
-        )
-    return fallback
-
-
-def _validate_backend(name: str) -> str:
-    name = name.strip().lower()
-    if name not in _BACKENDS:
-        raise ValueError(
-            f"unknown numeric backend {name!r}; valid: {', '.join(_BACKENDS)}"
-        )
-    if name == "numpy" and not HAS_NUMPY:
-        raise RuntimeError(
-            "numeric backend 'numpy' requested but numpy is not installed; "
-            "unset REPRO_NUMERIC or install numpy"
-        )
-    if name == "jit":
-        from repro.core import kernels
-
-        if not kernels.available():
-            return _jit_fallback()
-    return name
-
-
-def set_backend(name: Optional[str]) -> None:
-    """Force the numeric backend for this process.
-
-    ``None`` clears the override, restoring the ``REPRO_NUMERIC``
-    environment variable (or the auto default).  Clears the scalar-side
-    memo caches in :mod:`repro.core.blocks` so a backend switch can never
-    serve values computed by the other backend.
-    """
-    global _backend_override
-    _backend_override = None if name is None else _validate_backend(name)
-    # Imported lazily: blocks imports this module at load time.
-    from repro.core.blocks import block_energy_cache_clear
-
-    block_energy_cache_clear()
-
-
-def get_backend_override() -> Optional[str]:
-    """The forced backend, or ``None`` when env/auto selection applies.
-
-    Lets callers that temporarily switch backends (``repro bench``'s
-    scalar-vs-numpy comparison) restore the caller's choice instead of
-    clobbering it with the auto default.
-    """
-    return _backend_override
+    return kernels.available()
 
 
 def get_backend() -> str:
-    """The effective backend: override > ``$REPRO_NUMERIC`` > auto."""
-    if _backend_override is not None:
-        return _backend_override
-    env = os.environ.get(BACKEND_ENV, "")
-    if env.strip():
-        return _validate_backend(env)
-    return "numpy" if HAS_NUMPY else "scalar"
-
-
-def use_numpy() -> bool:
-    """True when the numpy numeric core should serve the hot paths.
-
-    The ``jit`` backend rides the numpy engine paths (simulation,
-    accounting, batched geometry) and only swaps the solver inner loops
-    for compiled kernels, so it answers True here whenever numpy is
-    importable.
-    """
-    backend = get_backend()
-    if backend == "jit":
-        return HAS_NUMPY
-    return backend == "numpy"
-
-
-def use_jit() -> bool:
-    """True when the compiled kernels should serve the solver inner loops."""
-    return get_backend() == "jit"
+    """The engine this process runs: ``"jit"`` or ``"numpy"``."""
+    return "jit" if use_jit() else "numpy"
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +150,6 @@ def block_arrays(tasks: TaskSet) -> BlockArrays:
     sets with identical numeric content share one array build regardless
     of naming or object identity.
     """
-    if np is None:  # pragma: no cover - callers gate on use_numpy()
-        raise RuntimeError("numpy is not available")
     key = tasks.energy_signature()
     hit = _ARRAYS_CACHE.get(key)
     if hit is not None:
@@ -306,8 +179,6 @@ def register_subset_arrays(parent: TaskSet, start: int, stop: int) -> None:
     preserved by slicing (the parent is already sorted), hence the slice
     *is* the subset's canonical array content.
     """
-    if np is None:  # pragma: no cover - callers gate on use_numpy()
-        raise RuntimeError("numpy is not available")
     parent_key = parent.energy_signature()
     key = parent_key[start:stop]
     if key in _ARRAYS_CACHE:
@@ -333,11 +204,8 @@ def prefetch_block_arrays(task_sets: Sequence[TaskSet]) -> int:
     The service micro-batcher calls this with every distinct task set of a
     coalesced batch before dispatching the individual solves, so the
     per-set array builds happen in one cache-friendly pass instead of
-    being interleaved with DP probes.  Returns the number of fresh builds
-    (0 on the scalar backend, where there is nothing to warm).
+    being interleaved with DP probes.  Returns the number of fresh builds.
     """
-    if not use_numpy():
-        return 0
     built = 0
     for tasks in task_sets:
         key = tasks.energy_signature()
@@ -376,13 +244,11 @@ def block_energy_batch(
     Array transcription of ``repro.core.blocks._block_energy_uncached``
     (same window clamps, same relative speed-cap tolerance, same graded
     penalties), broadcasting a ``(K, n)`` window matrix instead of looping
-    tasks per candidate.  Under the ``jit`` backend the compiled scalar
+    tasks per candidate.  Under the ``jit`` engine the compiled scalar
     transcription evaluates each candidate instead (bit-identical to the
     scalar reference; callers still receive an ndarray).
     """
-    if get_backend() == "jit":
-        from repro.core import kernels
-
+    if use_jit():
         values = kernels.block_energy_batch(tasks, platform, starts, ends)
         return np.asarray(values, dtype=np.float64)
     arr = block_arrays(tasks)
@@ -734,9 +600,7 @@ def overhead_energy_batch(
     way.
     """
     if scan.small:
-        if get_backend() == "jit":
-            from repro.core import kernels
-
+        if use_jit():
             return kernels.overhead_energy_small(scan, platform, rel_end, deltas)
         return _overhead_energy_small(scan, platform, rel_end, deltas)
     core = platform.core
@@ -790,7 +654,7 @@ def overhead_solve_small(
     :func:`_overhead_scan_small`, the transition-module case loop and
     :func:`_overhead_energy_small` into one frame erases that overhead.
     Every formula and evaluation order matches the unfused path (identical
-    floats, identical candidate fold), which the backend property tests
+    floats, identical candidate fold), which the engine property tests
     pin.
 
     Returns ``(horizon, natural_ends, order, best)`` with ``best`` the
@@ -967,8 +831,6 @@ def timeline_arrays(
     horizon: Tuple[float, float],
 ) -> TimelineArrays:
     """Build the segment-table columns for ``(core, start, end, speed)`` rows."""
-    if np is None:  # pragma: no cover - callers gate on use_numpy()
-        raise RuntimeError("numpy is not available")
     raw = np.asarray(
         [(c, s, e, v) for c, s, e, v in segments], dtype=np.float64
     ).reshape(len(segments), 4)
@@ -1090,8 +952,6 @@ def accounting_batch(
     pairwise here, sequential there); ``repro.energy.accounting`` owns the
     dispatch and keeps the scalar path as the bit-exact reference.
     """
-    if np is None:  # pragma: no cover - callers gate on use_numpy()
-        raise RuntimeError("numpy is not available")
     core_model = platform.core
     memory_model = platform.memory
     durations = arrays.ends - arrays.starts
@@ -1162,8 +1022,6 @@ def uniform_from_draws(
     expression elementwise in float64 is IEEE-identical, so a trace built
     from pre-drawn unit variates matches the scalar generator bit for bit.
     """
-    if np is None:  # pragma: no cover - callers gate on use_numpy()
-        raise RuntimeError("numpy is not available")
     return a + (b - a) * np.asarray(draws, dtype=np.float64)
 
 
@@ -1175,8 +1033,6 @@ def running_sum(values: Sequence[float], initial: float = 0.0) -> "np.ndarray":
     afterwards, which would re-associate the sum), so the result is
     bit-identical to the scalar clock advance it replaces.
     """
-    if np is None:  # pragma: no cover - callers gate on use_numpy()
-        raise RuntimeError("numpy is not available")
     seq = np.empty(len(values) + 1, dtype=np.float64)
     seq[0] = initial
     seq[1:] = values
@@ -1207,8 +1063,6 @@ def fft_trace_columns(
     ``i % streams``; each stream's release clock is a running sum of its
     own period increments seeded by its phase.
     """
-    if np is None:  # pragma: no cover - callers gate on use_numpy()
-        raise RuntimeError("numpy is not available")
     workloads = base_kilocycles * uniform_from_draws(
         workload_draws, 1.0 - jitter, 1.0 + jitter
     )
@@ -1245,8 +1099,6 @@ def synthetic_trace_columns(
     entry per task after the first), and the release clock accumulates the
     inter-arrival gaps exactly like the scalar ``t +=`` loop.
     """
-    if np is None:  # pragma: no cover - callers gate on use_numpy()
-        raise RuntimeError("numpy is not available")
     spans = uniform_from_draws(span_draws, *span_range)
     workloads = uniform_from_draws(workload_draws, *workload_range)
     gaps = uniform_from_draws(gap_draws, min_interarrival, max_interarrival)
@@ -1274,8 +1126,6 @@ def agreeable_trace_columns(
     bit-identical to the scalar loop in
     :func:`repro.workloads.synthetic.agreeable_trace`.
     """
-    if np is None:  # pragma: no cover - callers gate on use_numpy()
-        raise RuntimeError("numpy is not available")
     spans = uniform_from_draws(span_draws, *span_range)
     workloads = uniform_from_draws(workload_draws, *workload_range)
     gaps = uniform_from_draws(gap_draws, min_interarrival, max_interarrival)
@@ -1307,8 +1157,6 @@ def segments_feasible_batch(
     task columns.  Returns ``False`` on any violation -- the caller
     re-runs the scalar validator to raise the precise error.
     """
-    if np is None:  # pragma: no cover - callers gate on use_numpy()
-        raise RuntimeError("numpy is not available")
     releases = np.asarray(releases, dtype=np.float64)
     deadlines = np.asarray(deadlines, dtype=np.float64)
     workload_need = np.asarray(workload_need, dtype=np.float64)

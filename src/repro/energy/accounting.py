@@ -308,16 +308,15 @@ def account_segments(
     requested memory policy -- which is how the experiment pipeline prices
     MBKPS and MBKP from one simulated schedule.
 
-    Dispatch follows the numeric backend: large tables go through
-    :func:`repro.core.vectorized.accounting_batch` (agreement to float
-    re-association, covered by the backend property tests); small tables
-    and the scalar backend use the bit-exact reference loop above.
+    Large tables go through :func:`repro.core.vectorized.accounting_batch`
+    (agreement to float re-association, covered by the property tests);
+    small tables use the bit-exact reference loop above.
     """
     # Imported lazily: repro.core.online (pulled in by the repro.core
     # package init) imports this module for SleepPolicy.
     from repro.core import vectorized
 
-    if vectorized.use_numpy() and len(segments) > vectorized._SMALL_N:
+    if len(segments) > vectorized._SMALL_N:
         arrays = vectorized.timeline_arrays(
             [(c, iv.start, iv.end, iv.speed) for c, iv in segments], horizon
         )

@@ -9,14 +9,6 @@ Three timed runs of the same Fig. 6 FFT slice, in a fixed order:
 3. **warm cache** -- ``max_workers=1`` again, every unit served from the
    cache populated by run 2.
 
-When both numeric backends are importable, a fourth phase re-runs the
-serial cold slice under ``scalar`` and ``numpy``
-(:mod:`repro.core.vectorized`) and reports two speedups: **wall** (whole
-slice, Amdahl-bounded by the non-solver engine share) and **numeric
-core** (time inside the Section 4-7 solver entry points only, measured by
-wrapping them for the duration of the run).  The backends' output rows
-must match exactly -- the comparison carries its own ``rows_identical``.
-
 The three engine runs must produce identical ``SeriesResult.rows()``
 output -- :func:`run_bench` asserts it -- so the speedup table never
 advertises a fast-but-different engine.  Results are printed as a table
@@ -33,11 +25,10 @@ from __future__ import annotations
 import json
 import os
 import time
-from contextlib import contextmanager
 from datetime import datetime, timezone
 from typing import Dict, List, Optional
 
-from repro.core import vectorized
+from repro.core import kernels, vectorized
 from repro.core.blocks import block_energy_cache_clear
 from repro.experiments.cache import ResultCache
 from repro.experiments.fig6 import fig6_specs
@@ -152,123 +143,6 @@ def _timed_run(
     }
 
 
-@contextmanager
-def _solver_timer():
-    """Accumulate wall time spent inside the online policy's solver calls.
-
-    The Fig. 6 pipeline reaches the numeric core exclusively through the
-    two entry points :mod:`repro.core.online` binds at import time, so
-    wrapping those module attributes for the duration of a (serial) run
-    measures exactly the share the numpy backend can accelerate --
-    without leaving any timing overhead in the production hot path.
-    """
-    import repro.core.online as online
-
-    elapsed = [0.0]
-    names = ("solve_common_release", "solve_common_release_with_overhead")
-
-    def timed(fn):
-        def wrapper(*args, **kwargs):
-            start = time.perf_counter()
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                elapsed[0] += time.perf_counter() - start
-
-        return wrapper
-
-    originals = {name: getattr(online, name) for name in names}
-    for name, fn in originals.items():
-        setattr(online, name, timed(fn))
-    try:
-        yield elapsed
-    finally:
-        for name, fn in originals.items():
-            setattr(online, name, fn)
-
-
-def _compare_backends(
-    specs, *, seeds: int, repeats: int = 3
-) -> Optional[Dict[str, object]]:
-    """Serial cold cross-backend comparison on the same slice.
-
-    Runs every backend usable in this process (scalar, numpy, jit).  Each
-    backend runs the slice ``repeats`` times and reports the fastest pass
-    (least-interference estimate -- the box's other load only ever adds
-    time).  Returns ``None`` when only the scalar backend is importable.
-    Restores the caller's backend override on exit.  When the jit backend
-    participates, its kernels are compiled/warmed *before* timing so
-    first-call JIT cost never pollutes the numbers.
-    """
-    backends = vectorized.available_backends()
-    if len(backends) < 2:
-        return None
-    if "jit" in backends:
-        from repro.core import kernels
-
-        kernels.warm_up()
-    previous = vectorized.get_backend_override()
-    measured: Dict[str, Dict[str, object]] = {}
-    rows: Dict[str, List] = {}
-    try:
-        for backend in backends:
-            best_wall = best_solver = float("inf")
-            for _ in range(max(1, repeats)):
-                vectorized.set_backend(backend)  # also clears memo caches
-                vectorized.block_arrays_cache_clear()  # honest cold run
-                reset_solver_counts()
-                with _solver_timer() as solver_elapsed:
-                    start = time.perf_counter()
-                    series = run_series(
-                        f"bench-{backend}", specs, seeds=seeds, max_workers=1
-                    )
-                    seconds = time.perf_counter() - start
-                best_wall = min(best_wall, seconds)
-                best_solver = min(best_solver, solver_elapsed[0])
-            rows[backend] = series.rows()
-            measured[backend] = {
-                "seconds": round(best_wall, 4),
-                "solver_seconds": round(best_solver, 4),
-                "solver_calls": solver_call_total(),
-            }
-    finally:
-        vectorized.set_backend(previous)
-    scalar = measured["scalar"]
-    identical = all(rows[b] == rows["scalar"] for b in backends)
-    assert identical, "numeric backends disagree at the output-row level"
-
-    def ratio(num: float, den: float) -> Optional[float]:
-        return round(num / den, 3) if den > 0 else None
-
-    speedup: Dict[str, object] = {}
-    if "numpy" in measured:
-        numpy = measured["numpy"]
-        # Whole-slice ratio: Amdahl-bounded by the engine share the
-        # backends have in common (trace generation, simulation,
-        # accounting) -- see docs/PERFORMANCE.md.
-        speedup["wall"] = ratio(scalar["seconds"], numpy["seconds"])
-        # Solver-only ratio: the numeric core the backends swap out.
-        speedup["numeric_core"] = ratio(
-            scalar["solver_seconds"], numpy["solver_seconds"]
-        )
-    if "jit" in measured:
-        jit = measured["jit"]
-        # The jit tier rides the numpy engine, so numpy is its natural
-        # baseline; on a numpy-less host the scalar tier stands in.
-        base_name = "numpy" if "numpy" in measured else "scalar"
-        base = measured[base_name]
-        speedup["jit_baseline"] = base_name
-        speedup["jit_wall"] = ratio(base["seconds"], jit["seconds"])
-        speedup["jit_numeric_core"] = ratio(
-            base["solver_seconds"], jit["solver_seconds"]
-        )
-    return {
-        "backends": measured,
-        "speedup": speedup,
-        "rows_identical": identical,
-    }
-
-
 def run_bench(
     *,
     benchmark: str = "fft",
@@ -337,12 +211,10 @@ def run_bench(
     cache = ResultCache(cache_root)
     cache.clear()
 
-    if vectorized.get_backend() == "jit":
-        # Compile/warm the kernels before any timed region: first-call
-        # JIT cost belongs to setup, not to the recorded trajectory.
-        from repro.core import kernels
-
-        kernels.warm_up()
+    # Compile/warm the kernels (when the host can build them) before any
+    # timed region: first-call compile cost belongs to setup, not to the
+    # recorded trajectory.
+    kernels.warm_up()
 
     serial = _timed_run(
         "bench-serial", specs, seeds=seeds, max_workers=1, cache=None
@@ -415,7 +287,6 @@ def run_bench(
         },
         "rows_identical": identical,
         "cache_entries": cache.stats().entries,
-        "numeric": _compare_backends(specs, seeds=seeds),
     }
     return report
 
@@ -1062,42 +933,6 @@ def render_bench_table(report: Dict[str, object]) -> str:
         f"warm run took {speed['warm_fraction_of_serial'] * 100.0:.1f}% "
         f"of cold serial"
     )
-    numeric = report.get("numeric")
-    if numeric is None:
-        lines.append(
-            "numeric backends: numpy not importable, scalar-only run"
-        )
-    else:
-        lines.append(
-            f"{'backend':<14s} {'seconds':>9s} {'solver s':>9s} "
-            f"{'solver calls':>13s}"
-        )
-        for backend in ("scalar", "numpy", "jit"):
-            entry = numeric["backends"].get(backend)
-            if entry is None:
-                continue
-            lines.append(
-                f"{backend:<14s} {entry['seconds']:>9.3f} "
-                f"{entry['solver_seconds']:>9.3f} "
-                f"{entry['solver_calls']:>13d}"
-            )
-        speedups = numeric["speedup"]
-
-        def fmt(value: Optional[float]) -> str:
-            return f"{value:.2f}x" if value is not None else "n/a"
-
-        if "wall" in speedups:
-            lines.append(
-                f"numpy vs scalar (serial cold): {fmt(speedups['wall'])} "
-                f"wall, {fmt(speedups['numeric_core'])} numeric core; "
-                f"rows identical across backends: {numeric['rows_identical']}"
-            )
-        if "jit_wall" in speedups:
-            lines.append(
-                f"jit vs {speedups['jit_baseline']} (serial cold): "
-                f"{fmt(speedups['jit_wall'])} wall, "
-                f"{fmt(speedups['jit_numeric_core'])} numeric core"
-            )
     return "\n".join(lines)
 
 

@@ -10,9 +10,9 @@ JSON of everything that determines the result:
   :mod:`repro.experiments.parallel`);
 * the seed index;
 * the policy name;
-* the numeric backend (:func:`repro.core.vectorized.get_backend`) --
-  backends agree to 1e-9, not to the last ulp, so cached raw energies
-  never cross the backend boundary;
+* the numeric engine (:func:`repro.core.vectorized.get_backend`) --
+  the ``jit`` and ``numpy`` engines agree to 1e-9, not to the last ulp,
+  so cached raw energies never cross the engine boundary;
 * a code-version salt (:data:`CODE_SALT`), bumped whenever the numeric
   semantics of the simulator or policies change, which invalidates every
   stale entry at once.
@@ -48,10 +48,11 @@ __all__ = [
 
 #: Bump when simulator/policy numerics change: every key changes, so stale
 #: results can never be served after a semantic code change.
-#: v2: the batched fast path re-associates numpy-backend float sums
-#: (~1e-15 relative vs v1); scalar-backend outputs are unchanged, but the
-#: salt is shared so both backends' caches roll together.
-CODE_SALT = "sdem-experiments-v2"
+#: v2: the batched fast path re-associates numpy float sums (~1e-15
+#: relative vs v1).
+#: v3: the FPTAS block descent adds diagonal line searches, which moves
+#: fptas-tier energies (exact-tier results are unchanged).
+CODE_SALT = "sdem-experiments-v3"
 
 #: Environment override for the default cache location.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -96,11 +97,11 @@ def unit_key(
 ) -> str:
     """SHA-256 hex key for one (platform, trace, seed, policy) cell.
 
-    The active numeric backend is part of the key: the scalar and numpy
-    cores agree to 1e-9 but not necessarily to the last ulp, so a warm
-    run must never serve raw energies computed by the other backend --
-    engine determinism (identical rows across cache states) is asserted
-    per backend.  The active solver tier (and its ε when approximate) is
+    The process's numeric engine is part of the key: the ``jit`` and
+    ``numpy`` engines agree to 1e-9 but not necessarily to the last ulp,
+    so a cache shared between hosts must never serve raw energies computed
+    by the other engine -- determinism (identical rows across cache
+    states) is asserted per engine.  The active solver tier (and its ε when approximate) is
     part of the key for the same reason, only stronger: exact and fptas
     results differ by design, so they must never alias.
     """
@@ -129,11 +130,10 @@ def service_request_key(
 ) -> str:
     """SHA-256 key for one solve-service request.
 
-    Same construction as :func:`unit_key` but with the backend passed
-    explicitly: the service batcher prices requests for a backend it has
-    not switched the process to yet, so it cannot rely on
-    ``vectorized.get_backend()``.  The solver tier is explicit for the same
-    reason -- the batcher keys a request before pinning the tier -- and ε
+    Same construction as :func:`unit_key` but with the engine
+    (``numeric``, the batcher passes ``vectorized.get_backend()``) and the
+    solver tier explicit -- the batcher keys a request before pinning its
+    tier -- and ε
     joins the payload only on the fptas tier, so every exact key is
     unchanged from before the tier existed and approximate results can
     never alias exact ones.  ``tasks_config`` must be the canonical

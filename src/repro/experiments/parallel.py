@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.fptas import get_solver_epsilon, get_solver_tier
-from repro.core.vectorized import get_backend
 from repro.experiments.cache import ResultCache
 from repro.experiments.runner import (
     POLICY_ORDER,
@@ -207,39 +206,33 @@ def run_unit(
     return unit
 
 
-def pin_worker_state(backend: str, solver: Tuple[str, float]) -> None:
-    """Pin the process-wide numeric backend and solver tier (idempotent).
+def pin_worker_state(solver: Tuple[str, float]) -> None:
+    """Pin the process-wide solver tier (idempotent).
 
-    The parent's effective state rides in the submission payload and is
-    pinned on the worker side: a spawn-context worker does not inherit a
-    programmatic :func:`repro.core.vectorized.set_backend` override, and
-    a silent backend switch would fragment the shared result cache (its
-    keys are backend-scoped).  A ``jit`` request degrades per worker
-    exactly as in the parent -- one structured warning, then
-    numpy/scalar.  The solver tier ``(tier, epsilon)`` is pinned the same
-    way for the same reason: cache keys are tier-scoped, and an fptas
-    sweep must stay fptas inside every worker.
+    The parent's tier ``(tier, epsilon)`` rides in the submission payload
+    and is pinned on the worker side: a spawn-context worker does not
+    inherit a programmatic :func:`repro.core.fptas.set_solver_tier`, and
+    cache keys are tier-scoped, so an fptas sweep must stay fptas inside
+    every worker.
     """
-    from repro.core import fptas, vectorized
+    from repro.core import fptas
 
-    if vectorized.get_backend() != backend:
-        vectorized.set_backend(backend)
     tier, epsilon = solver
     if (fptas.get_solver_tier(), fptas.get_solver_epsilon()) != (tier, epsilon):
         fptas.set_solver_tier(tier, epsilon)
 
 
 def _pool_entry_chunk(args) -> List[Tuple[int, int, UnitResult]]:
-    """Module-level pool target: ``(chunk, cache, horizon, backend, solver)``
-    with ``chunk = [(point_index, seed, spec), ...]``.
+    """Module-level pool target: ``(chunk, cache, horizon, solver)`` with
+    ``chunk = [(point_index, seed, spec), ...]``.
 
     Batching several units per submission amortizes the pickle/IPC cost
     of a pool round-trip, which at ~10 ms per unit otherwise eats the
     parallel speedup (the 0.95x regression in early bench trajectories).
-    Backend/solver pinning per :func:`pin_worker_state`.
+    Solver pinning per :func:`pin_worker_state`.
     """
-    chunk, cache, horizon, backend, solver = args
-    pin_worker_state(backend, solver)
+    chunk, cache, horizon, solver = args
+    pin_worker_state(solver)
     return [
         (point_index, seed, run_unit(spec, seed, cache, horizon))
         for point_index, seed, spec in chunk
@@ -290,7 +283,7 @@ def _mp_context():
 
 
 class WorkerProcess:
-    """One long-lived solver process with pinned backend/solver state.
+    """One long-lived solver process with pinned solver state.
 
     The sweeps above use throwaway pools -- fork, chunk, join.  The
     sharded solve service needs the opposite lifetime: a worker that
@@ -298,9 +291,8 @@ class WorkerProcess:
     (``BlockArrays``, the block-energy memo, compiled jit kernels) warmed
     by one batch are still hot for the next one routed to the same shard.
     This wraps a single-process :class:`ProcessPoolExecutor` whose
-    initializer pins the parent's effective numeric backend and solver
-    tier via :func:`pin_worker_state` (spawn-context workers inherit
-    neither).
+    initializer pins the parent's solver tier via :func:`pin_worker_state`
+    (spawn-context workers do not inherit it).
 
     ``warm=True`` (the default) performs a blocking no-op round-trip at
     construction so the child process exists -- and, under a fork
@@ -311,11 +303,9 @@ class WorkerProcess:
     def __init__(
         self,
         *,
-        backend: Optional[str] = None,
         solver: Optional[Tuple[str, float]] = None,
         warm: bool = True,
     ):
-        self.backend = backend if backend is not None else get_backend()
         self.solver = (
             solver
             if solver is not None
@@ -325,12 +315,12 @@ class WorkerProcess:
             max_workers=1,
             mp_context=_mp_context(),
             initializer=pin_worker_state,
-            initargs=(self.backend, self.solver),
+            initargs=(self.solver,),
         )
         if warm:
             # pin_worker_state is idempotent; this round-trip only forces
             # the fork to happen now.
-            self._pool.submit(pin_worker_state, self.backend, self.solver).result()
+            self._pool.submit(pin_worker_state, self.solver).result()
 
     def submit(self, fn, *args):
         """Submit ``fn(*args)`` to the worker; returns its Future."""
@@ -384,11 +374,8 @@ def run_series(
             (point_index, seed, specs[point_index]) for point_index, seed in jobs
         ]
         chunks = chunk_evenly(units, workers)
-        backend = get_backend()
         solver = (get_solver_tier(), get_solver_epsilon())
-        payloads = [
-            (chunk, cache, horizon, backend, solver) for chunk in chunks
-        ]
+        payloads = [(chunk, cache, horizon, solver) for chunk in chunks]
         try:
             pickle.dumps(payloads[0])
         except Exception as exc:

@@ -5,10 +5,9 @@ The repo enforces several invariants that generic linters cannot see:
 * **determinism** -- cache keys, result rows and solver outputs must be
   bit-reproducible (no wall-clock, no unseeded randomness, no set-order
   dependence, no computed-float equality in solver code);
-* **backend purity** -- the scalar/numpy dual numeric core stays
-  byte-compatible only while every ndarray touch goes through
-  :mod:`repro.core.vectorized` and ``REPRO_NUMERIC`` is read through its
-  sanctioned accessor;
+* **engine purity** -- every ndarray touch goes through
+  :mod:`repro.core.vectorized` and every cffi import stays inside
+  :mod:`repro.core.kernels`;
 * **concurrency** -- the solve service's locks are acquired in a
   consistent order, never held across ``await``, and the metrics
   registry's shared state is only mutated under its lock;

@@ -1,6 +1,6 @@
 """Project-level configuration for ``repro check``: ``[tool.repro-lint]``.
 
-The backend-purity rules (BCK001/BCK002) enforce that numpy is imported
+The engine-purity rule BCK002 enforces that numpy is imported
 only inside a sanctioned list of modules.  That list used to be baked
 into :mod:`repro.lint.rules_backend`; it is now read from the analysis
 root's ``pyproject.toml``::
@@ -50,13 +50,12 @@ __all__ = [
 DEFAULT_SANCTIONED_NUMPY_MODULES: Tuple[str, ...] = (
     "repro.core.vectorized",
     "repro.utils.solvers",
-    "repro.core.kernels._numba_provider",
 )
 
-#: Packages allowed to import the jit toolchains (numba/cffi).  Unlike the
-#: numpy list this is prefix-scoped: ``repro.core.kernels`` sanctions the
-#: package and every submodule under it (the providers live in
-#: ``_numba_provider``/``_cffi_provider``).
+#: Packages allowed to import the jit toolchain (cffi).  Unlike the numpy
+#: list this is prefix-scoped: ``repro.core.kernels`` sanctions the
+#: package and every submodule under it (the provider lives in
+#: ``_cffi_provider``).
 DEFAULT_SANCTIONED_JIT_MODULES: Tuple[str, ...] = (
     "repro.core.kernels",
 )

@@ -1,28 +1,17 @@
-"""Backend-purity rules (BCK0xx): the scalar/numpy dual core stays dual.
+"""Engine-purity rules (BCK0xx): numpy and cffi stay in their modules.
 
-The numeric core (PR 2) runs CI in two legs: one without numpy installed
-(the scalar reference) and one with it.  That only works while
-
-* numpy is imported in exactly the sanctioned modules, guarded by
-  ``try/except ImportError`` so the scalar leg still imports cleanly
-  (``BCK001``/``BCK002``).  The sanctioned list defaults to
+* numpy is imported only in the sanctioned modules (``BCK002``); every
+  other module reaches ndarray work through the dispatcher in
+  :mod:`repro.core.vectorized`.  The sanctioned list defaults to
   :data:`repro.lint.config.DEFAULT_SANCTIONED_NUMPY_MODULES` and can be
   overridden per checkout via ``[tool.repro-lint]
   sanctioned-numpy-modules`` in ``pyproject.toml``;
-* every other module reaches ndarray work through the dispatcher in
-  :mod:`repro.core.vectorized` rather than importing numpy itself
-  (``BCK002``);
-* the ``REPRO_NUMERIC`` environment variable is *read* only by the
-  sanctioned accessor :func:`repro.core.vectorized.get_backend`, so the
-  override > env > auto precedence cannot fork (``BCK003``).  Writes are
-  allowed -- the CLI exports the flag to pool workers;
-* the jit toolchains (numba/cffi, PR 6) are imported only inside
-  ``repro.core.kernels`` -- every other module reaches compiled code
-  through the dispatcher, so a checkout without either toolchain
-  degrades instead of crashing (``BCK004``).  The sanctioned list is
-  prefix-scoped (the kernels *package* including its provider
-  submodules) and configurable via ``[tool.repro-lint]
-  sanctioned-jit-modules``.
+* the cffi toolchain is imported only inside ``repro.core.kernels`` --
+  every other module reaches compiled code through the dispatcher, so a
+  host that cannot build the kernels runs the numpy engine instead of
+  crashing (``BCK004``).  The sanctioned list is prefix-scoped (the
+  kernels *package* including its provider submodule) and configurable
+  via ``[tool.repro-lint] sanctioned-jit-modules``.
 """
 
 from __future__ import annotations
@@ -39,15 +28,11 @@ from repro.lint.engine import (
     Project,
     Rule,
     SourceModule,
-    dotted_call_name,
-    parent_chain,
     register,
 )
 
 __all__ = [
-    "NumpyImportGuardRule",
     "NumpyImportScopeRule",
-    "BackendEnvReadRule",
     "JitImportScopeRule",
 ]
 
@@ -58,19 +43,14 @@ __all__ = [
 #: ([tool.repro-lint] sanctioned-numpy-modules in pyproject.toml).
 SANCTIONED_NUMPY_MODULES = DEFAULT_SANCTIONED_NUMPY_MODULES
 
-#: Packages allowed to import the jit toolchains (numba/cffi).  Prefix
+#: Packages allowed to import the jit toolchain (cffi).  Prefix
 #: semantics: an entry sanctions the named module *and* everything under
-#: it, because the kernels package splits its providers into submodules.
+#: it, because the kernels package keeps its provider in a submodule.
 #: Rescoped per run from ``[tool.repro-lint] sanctioned-jit-modules``.
 SANCTIONED_JIT_MODULES = DEFAULT_SANCTIONED_JIT_MODULES
 
 #: Toolchain packages BCK004 confines to the sanctioned jit modules.
-JIT_TOOLCHAIN_PACKAGES = ("numba", "cffi")
-
-#: The one module allowed to read the backend environment variable.
-BACKEND_ACCESSOR_MODULE = "repro.core.vectorized"
-
-_BACKEND_ENV = "REPRO_NUMERIC"
+JIT_TOOLCHAIN_PACKAGES = ("cffi",)
 
 
 def _is_numpy_import(node: ast.AST) -> bool:
@@ -86,7 +66,7 @@ def _is_numpy_import(node: ast.AST) -> bool:
 
 
 def _jit_import_target(node: ast.AST) -> Optional[str]:
-    """The toolchain package a node imports (``numba``/``cffi``), if any."""
+    """The toolchain package a node imports (``cffi``), if any."""
     if isinstance(node, ast.Import):
         for item in node.names:
             for pkg in JIT_TOOLCHAIN_PACKAGES:
@@ -101,63 +81,6 @@ def _jit_import_target(node: ast.AST) -> Optional[str]:
             if module == pkg or module.startswith(pkg + "."):
                 return pkg
     return None
-
-
-def _guarded_by_import_error(node: ast.AST) -> bool:
-    """True when the import sits in a ``try`` with an ImportError handler."""
-    for ancestor in parent_chain(node):
-        if isinstance(ancestor, ast.Try):
-            for handler in ancestor.handlers:
-                if _handler_catches_import_error(handler):
-                    return True
-    return False
-
-
-def _handler_catches_import_error(handler: ast.ExceptHandler) -> bool:
-    kind = handler.type
-    if kind is None:
-        return True
-    names: list[ast.expr] = list(kind.elts) if isinstance(kind, ast.Tuple) else [kind]
-    for name in names:
-        if isinstance(name, ast.Name) and name.id in (
-            "ImportError",
-            "ModuleNotFoundError",
-        ):
-            return True
-    return False
-
-
-@register
-class NumpyImportGuardRule(Rule):
-    id = "BCK001"
-    family = "backend"
-    description = (
-        "numpy import in a sanctioned module must be guarded by "
-        "try/except ImportError so the scalar CI leg still imports"
-    )
-    hint = (
-        "wrap in try/except ImportError and fall back to None "
-        "(see repro.core.vectorized)"
-    )
-    packages = SANCTIONED_NUMPY_MODULES
-
-    def run(self, project: Project) -> Iterator[Finding]:
-        # Rescope to the configured sanctioned list before walking.
-        self.packages = project.config.sanctioned_numpy_modules
-        yield from super().run(project)
-
-    def check_module(
-        self, module: SourceModule, project: Project
-    ) -> Iterator[Finding]:
-        assert module.tree is not None
-        for node in ast.walk(module.tree):
-            if _is_numpy_import(node) and not _guarded_by_import_error(node):
-                yield self.finding(
-                    module,
-                    node,
-                    "unguarded numpy import would break the numpy-less "
-                    "(scalar backend) CI leg",
-                )
 
 
 @register
@@ -200,84 +123,17 @@ class NumpyImportScopeRule(Rule):
 
 
 @register
-class BackendEnvReadRule(Rule):
-    id = "BCK003"
-    family = "backend"
-    description = (
-        "REPRO_NUMERIC read outside repro.core.vectorized.get_backend(); "
-        "the override > env > auto precedence must have one owner"
-    )
-    hint = "call repro.core.vectorized.get_backend() (writes for worker export are fine)"
-
-    def applies_to(self, module: SourceModule) -> bool:
-        if not super().applies_to(module):
-            return False
-        return module.name != BACKEND_ACCESSOR_MODULE
-
-    def check_module(
-        self, module: SourceModule, project: Project
-    ) -> Iterator[Finding]:
-        assert module.tree is not None
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.Subscript):
-                if (
-                    isinstance(node.ctx, ast.Load)
-                    and self._is_environ(node.value, module)
-                    and self._is_backend_key(node.slice, module)
-                ):
-                    yield self._flag(module, node)
-            elif isinstance(node, ast.Call):
-                name = dotted_call_name(node.func, module.aliases)
-                key: Optional[ast.AST] = None
-                if name in ("os.getenv",) and node.args:
-                    key = node.args[0]
-                elif (
-                    isinstance(node.func, ast.Attribute)
-                    and node.func.attr in ("get", "setdefault", "pop")
-                    and self._is_environ(node.func.value, module)
-                    and node.args
-                ):
-                    key = node.args[0]
-                if key is not None and self._is_backend_key(key, module):
-                    yield self._flag(module, node)
-
-    @staticmethod
-    def _is_environ(node: ast.AST, module: SourceModule) -> bool:
-        name = dotted_call_name(node, module.aliases)
-        return name in ("os.environ", "environ")
-
-    @staticmethod
-    def _is_backend_key(node: ast.AST, module: SourceModule) -> bool:
-        if isinstance(node, ast.Constant):
-            return node.value == _BACKEND_ENV
-        name = dotted_call_name(node, module.aliases)
-        if name is None:
-            return False
-        return name.split(".")[-1] == "BACKEND_ENV" or name.endswith(
-            "vectorized.BACKEND_ENV"
-        )
-
-    def _flag(self, module: SourceModule, node: ast.AST) -> Finding:
-        return self.finding(
-            module,
-            node,
-            "REPRO_NUMERIC must be read through "
-            "repro.core.vectorized.get_backend(), not the raw environment",
-        )
-
-
-@register
 class JitImportScopeRule(Rule):
     id = "BCK004"
     family = "backend"
     description = (
-        "numba/cffi imported outside the sanctioned jit modules; compiled "
-        "kernels must stay inside repro.core.kernels so checkouts without "
-        "a jit toolchain degrade instead of crashing"
+        "cffi imported outside the sanctioned jit modules; compiled "
+        "kernels must stay inside repro.core.kernels so hosts that cannot "
+        "build them run the numpy engine instead of crashing"
     )
     hint = (
         "call the compiled kernel you need via repro.core.kernels "
-        "(or add one there) instead of importing numba/cffi locally"
+        "(or add one there) instead of importing cffi locally"
     )
 
     #: Per-run sanctioned prefixes (rescoped from project.config in run()).
@@ -291,7 +147,7 @@ class JitImportScopeRule(Rule):
         if not super().applies_to(module):
             return False
         # Prefix semantics: sanctioning a package sanctions its submodules
-        # (the providers live under repro.core.kernels).
+        # (the provider lives under repro.core.kernels).
         return not any(
             module.name == root or module.name.startswith(root + ".")
             for root in self._sanctioned
@@ -309,5 +165,5 @@ class JitImportScopeRule(Rule):
                     node,
                     f"{pkg} import in {module.name}; only "
                     f"{', '.join(self._sanctioned)} (and submodules) may "
-                    "import the jit toolchains",
+                    "import the jit toolchain",
                 )

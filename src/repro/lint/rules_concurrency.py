@@ -61,7 +61,7 @@ def lock_label(node: ast.AST, module: SourceModule) -> Optional[str]:
 
     ``self._lock`` inside class ``AdmissionQueue`` labels as
     ``repro.service.queue.AdmissionQueue._lock``; a module-global
-    ``_backend_lock`` as ``repro.service.batcher._backend_lock``.
+    ``_registry_lock`` as ``repro.service.metrics._registry_lock``.
     Non-lock-ish expressions return ``None``.
     """
     parts: List[str] = []

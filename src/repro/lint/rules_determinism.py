@@ -2,7 +2,7 @@
 
 The experiment engine's core contract (PR 1-2) is that reruns are
 byte-identical: cache keys are content hashes over canonical JSON, result
-rows reduce in seed order, and the scalar/numpy backends agree.  Every
+rows reduce in seed order, and the jit/numpy engines agree.  Every
 rule here targets a way that contract has broken (or nearly broken) in
 practice:
 
@@ -15,7 +15,7 @@ practice:
 * ``DET004`` -- iterating a ``set`` feeds arbitrary ordering into rows,
   CSV output or key material;
 * ``DET005`` -- ``==`` between computed floats in solver code, where the
-  scalar and numpy backends agree to 1e-9 but not to the last ulp.
+  jit and numpy engines agree to 1e-9 but not to the last ulp.
 """
 
 from __future__ import annotations
@@ -229,7 +229,7 @@ class FloatEqualityRule(Rule):
     family = "determinism"
     description = (
         "float equality against a computed value in solver code; the "
-        "scalar and numpy backends agree to 1e-9, not to the last ulp"
+        "jit and numpy engines agree to 1e-9, not to the last ulp"
     )
     hint = (
         "compare with an explicit tolerance (abs(a - b) <= tol or "

@@ -251,11 +251,6 @@ _QUANTITY_SEGMENTS = re.compile(
     r"(?:^|_)(?:energy|epsilon|delta|step|grid|ladder)(?:_|$)"
 )
 
-#: The numeric-backend env var and its sanctioned accessor (the module
-#: UNT002 never applies to, so no self-flagging is possible).
-_NUMERIC_ENV = "REPRO_NUMERIC"
-_NUMERIC_ACCESSOR_MODULE = "repro.core.vectorized"
-
 
 @register
 class UnitTagCoverageRule(Rule):
@@ -264,24 +259,17 @@ class UnitTagCoverageRule(Rule):
     severity = SEVERITY_WARNING
     description = (
         "quantity-valued helper in a unit-tagged module (ε, grid pitch, "
-        "ladder, energy) lacks an @unit(...) tag, or the module reads "
-        "REPRO_NUMERIC outside the sanctioned accessor"
+        "ladder, energy) lacks an @unit(...) tag"
     )
     hint = (
         "tag the function with @unit(...) from repro.units (SCALAR for "
-        "dimensionless ε), and read the backend only through "
-        "repro.core.vectorized.get_backend(); scope via [tool.repro-lint] "
-        "unit-tagged-modules"
+        "dimensionless ε); scope via [tool.repro-lint] unit-tagged-modules"
     )
     #: Rescoped per run from ``[tool.repro-lint] unit-tagged-modules``.
     packages = ("repro.core.fptas",)
 
     def run(self, project: Project) -> Iterator[Finding]:
-        self.packages = tuple(
-            name
-            for name in project.config.unit_tagged_modules
-            if name != _NUMERIC_ACCESSOR_MODULE
-        )
+        self.packages = tuple(project.config.unit_tagged_modules)
         yield from super().run(project)
 
     def check_module(
@@ -291,8 +279,6 @@ class UnitTagCoverageRule(Rule):
         for node in ast.walk(module.tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 yield from self._check_tagged(module, node)
-            else:
-                yield from self._check_env_read(module, node)
 
     def _check_tagged(
         self, module: SourceModule, func: ast.AST
@@ -310,46 +296,3 @@ class UnitTagCoverageRule(Rule):
             "discretization quantities in unit-tagged modules must "
             "declare their dimension",
         )
-
-    def _check_env_read(
-        self, module: SourceModule, node: ast.AST
-    ) -> Iterator[Finding]:
-        key: Optional[ast.AST] = None
-        if isinstance(node, ast.Subscript):
-            if isinstance(node.ctx, ast.Load) and self._is_environ(
-                node.value, module
-            ):
-                key = node.slice
-        elif isinstance(node, ast.Call):
-            name = dotted_call_name(node.func, module.aliases)
-            if name == "os.getenv" and node.args:
-                key = node.args[0]
-            elif (
-                isinstance(node.func, ast.Attribute)
-                and node.func.attr in ("get", "setdefault", "pop")
-                and self._is_environ(node.func.value, module)
-                and node.args
-            ):
-                key = node.args[0]
-        if key is not None and self._is_numeric_key(key, module):
-            yield self.finding(
-                module,
-                node,
-                "unit-tagged module reads REPRO_NUMERIC directly; use "
-                "repro.core.vectorized.get_backend() so tier pricing "
-                "stays backend-pure",
-            )
-
-    @staticmethod
-    def _is_environ(node: ast.AST, module: SourceModule) -> bool:
-        name = dotted_call_name(node, module.aliases)
-        return name in ("os.environ", "environ")
-
-    @staticmethod
-    def _is_numeric_key(node: ast.AST, module: SourceModule) -> bool:
-        if isinstance(node, ast.Constant):
-            return node.value == _NUMERIC_ENV
-        name = dotted_call_name(node, module.aliases)
-        if name is None:
-            return False
-        return name.split(".")[-1] == "BACKEND_ENV"

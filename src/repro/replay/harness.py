@@ -146,7 +146,7 @@ def table_digest(
 
     Only deterministic fields enter the hash -- wall-clock telemetry is
     excluded -- so for the in-process sink two same-seed runs must
-    produce identical digests on the same numeric backend.
+    produce identical digests on the same numeric engine.
     """
     payload = {
         "rows": [record.canonical_row() for record in records],

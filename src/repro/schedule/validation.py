@@ -125,7 +125,7 @@ def validate_segments(
     # init, before vectorized would be importable at module scope.
     from repro.core import vectorized
 
-    if vectorized.use_numpy() and len(segments) > vectorized._SMALL_N:
+    if len(segments) > vectorized._SMALL_N:
         index_of = {name: i for i, name in enumerate(by_name)}
         seg_task = []
         for _, interval in segments:

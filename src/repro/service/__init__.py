@@ -8,8 +8,8 @@ JSON-lines wire protocol, served by an asyncio TCP/stdio server with:
 * **admission control** -- a bounded queue with priority lanes
   (interactive vs. sweep), per-request deadlines and HTTP-429-style
   backpressure (:mod:`repro.service.queue`);
-* **micro-batching** -- compatible requests (same platform + numeric
-  backend) coalesce into one dispatch that prefetches the vectorized
+* **micro-batching** -- compatible requests (same platform + solver
+  tier) coalesce into one dispatch that prefetches the vectorized
   core's arrays and reuses the experiment engine's on-disk result cache
   (:mod:`repro.service.batcher`);
 * **telemetry** -- counters / gauges / histograms rendered as a

@@ -1,8 +1,8 @@
 """Micro-batching dispatcher: coalesce compatible solves, reuse the cache.
 
 Requests popped from the admission queue are grouped into *micro-batches*
-of compatible requests -- same platform fingerprint, same numeric backend
--- in arrival order.  One batch is one dispatch to the persistent worker
+of compatible requests -- same platform fingerprint, same solver tier --
+in arrival order.  One batch is one dispatch to the persistent worker
 pool, where it:
 
 1. prices every request against the experiment engine's on-disk
@@ -17,23 +17,14 @@ pool, where it:
 Oversized compatibility groups are split with the experiment engine's
 :func:`repro.experiments.parallel.chunk_evenly`, the same granularity rule
 the experiment engine's process pool uses.
-
-Backend pinning: the numeric backend is process-wide state
-(:func:`repro.core.vectorized.set_backend`), so a batch that needs a
-backend other than the process default takes an *exclusive* lock while
-default-backend batches run under a shared lock.  With the default
-single-worker pool (solver work is GIL-bound; extra threads buy nothing)
-the lock never contends, but it keeps multi-worker configurations
-byte-deterministic too.
 """
 
 from __future__ import annotations
 
 import json
-import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core import vectorized
 from repro.experiments.cache import (
@@ -59,11 +50,6 @@ __all__ = [
 ]
 
 
-def resolve_numeric(request: protocol.SolveRequest) -> str:
-    """The backend this request will be solved under."""
-    return request.numeric if request.numeric is not None else vectorized.get_backend()
-
-
 def batch_key(request: protocol.SolveRequest) -> str:
     """Compatibility key: requests sharing it may coalesce into one batch.
 
@@ -73,7 +59,6 @@ def batch_key(request: protocol.SolveRequest) -> str:
     """
     payload = {
         "platform": platform_fingerprint(request.platform),
-        "numeric": resolve_numeric(request),
         "solver": request.solver,
     }
     if request.solver == "fptas":
@@ -111,66 +96,6 @@ def form_batches(
 
 
 # ---------------------------------------------------------------------------
-# Backend pinning: shared/exclusive lock around process-wide backend state
-# ---------------------------------------------------------------------------
-
-
-class _ReadWriteLock:
-    """Many default-backend batches, or one backend-switching batch."""
-
-    def __init__(self):
-        self._cond = threading.Condition()
-        self._readers = 0
-        self._writer = False
-
-    def acquire_shared(self) -> None:
-        with self._cond:
-            while self._writer:
-                self._cond.wait()
-            self._readers += 1
-
-    def release_shared(self) -> None:
-        with self._cond:
-            self._readers -= 1
-            if self._readers == 0:
-                self._cond.notify_all()
-
-    def acquire_exclusive(self) -> None:
-        with self._cond:
-            while self._writer or self._readers:
-                self._cond.wait()
-            self._writer = True
-
-    def release_exclusive(self) -> None:
-        with self._cond:
-            self._writer = False
-            self._cond.notify_all()
-
-
-_backend_lock = _ReadWriteLock()
-
-
-def _with_backend(backend: str, fn: Callable[[], object]):
-    """Run ``fn`` with the process numeric backend pinned to ``backend``."""
-    _backend_lock.acquire_shared()
-    try:
-        if vectorized.get_backend() == backend:
-            return fn()
-    finally:
-        _backend_lock.release_shared()
-    _backend_lock.acquire_exclusive()
-    try:
-        previous = vectorized.get_backend_override()
-        vectorized.set_backend(backend)
-        try:
-            return fn()
-        finally:
-            vectorized.set_backend(previous)
-    finally:
-        _backend_lock.release_exclusive()
-
-
-# ---------------------------------------------------------------------------
 # Batch execution core (shared with the sharded worker tier)
 # ---------------------------------------------------------------------------
 
@@ -178,22 +103,22 @@ def _with_backend(backend: str, fn: Callable[[], object]):
 def execute_batch_requests(
     requests: Sequence[protocol.SolveRequest],
     cache: Optional[ResultCache],
-    backend: str,
 ) -> List[Dict[str, object]]:
     """Price, prefetch and solve one compatible batch.
 
     The deterministic core shared by the in-process :class:`Batcher` and
     the sharded worker tier (:mod:`repro.service.shard`), which is what
     makes the 1-shard/N-shard byte-identity contract hold by
-    construction.  The caller must have pinned the numeric backend
-    process-wide; ``backend`` here only scopes the cache keys.
+    construction.  Cache keys are scoped to this process's engine
+    (:func:`repro.core.vectorized.get_backend`).
 
     Returns one outcome dict per request, in order: either
-    ``{"ok": True, "result", "scheme", "cache", "solve_ms"}`` or
+    ``{"ok": True, "result", "scheme", "cache", "solve_ms", "backend"}`` or
     ``{"ok": False, "code", "message"}``.  Outcomes are plain JSON-able
     data so they can cross a process boundary; the caller turns them into
     wire responses and metrics on its side.
     """
+    backend = vectorized.get_backend()
     # Resolve schemes and price the cache for the whole batch first...
     plans: List[object] = []
     misses: List[protocol.SolveRequest] = []
@@ -264,6 +189,7 @@ def execute_batch_requests(
                 "scheme": scheme,
                 "cache": cache_state,
                 "solve_ms": solve_ms,
+                "backend": backend,
             }
         )
     return out
@@ -273,7 +199,6 @@ def finalize_outcomes(
     entries: Sequence[QueueEntry],
     outcomes: Sequence[Dict[str, object]],
     waits_ms: Sequence[float],
-    backend: str,
     metrics: MetricsRegistry,
     *,
     provenance_extra: Optional[Dict[str, object]] = None,
@@ -313,7 +238,7 @@ def finalize_outcomes(
             result["energy"]["total"]
         )
         provenance: Dict[str, object] = {
-            "backend": backend,
+            "backend": outcome["backend"],
             "cache": cache_state,
             "batch_size": len(entries),
         }
@@ -381,37 +306,11 @@ class Batcher:
     ) -> List[Tuple[QueueEntry, Dict[str, object]]]:
         if not entries:
             return []
-        backend = resolve_numeric(entries[0].request)
         metrics = self.metrics
         metrics.counter("repro_batches_total").inc()
         metrics.histogram("repro_batch_size").observe(len(entries))
         if len(entries) > 1:
             metrics.counter("repro_batched_requests_total").inc(len(entries))
-        # 'jit' deliberately has no such hard error: set_backend('jit')
-        # resolves through the kernels loader and degrades to numpy/scalar
-        # with one structured warning when no provider compiles, so jit
-        # requests stay servable on any host (response provenance still
-        # reports the requested backend; cache keys stay 'jit'-scoped and
-        # consistent process-wide).
-        if backend == "numpy" and not vectorized.HAS_NUMPY:
-            return [
-                (
-                    entry,
-                    protocol.error_response(
-                        entry.request.id,
-                        protocol.E_BAD_REQUEST,
-                        "numeric backend 'numpy' requested but numpy is not "
-                        "installed on this server",
-                    ),
-                )
-                for entry in entries
-            ]
-        return _with_backend(backend, lambda: self._run_pinned(entries, backend))
-
-    def _run_pinned(
-        self, entries: List[QueueEntry], backend: str
-    ) -> List[Tuple[QueueEntry, Dict[str, object]]]:
-        metrics = self.metrics
         inflight = metrics.gauge("repro_inflight")
         inflight.inc(len(entries))
         try:
@@ -421,8 +320,8 @@ class Batcher:
                 for entry in entries
             ]
             outcomes = execute_batch_requests(
-                [entry.request for entry in entries], self.cache, backend
+                [entry.request for entry in entries], self.cache
             )
-            return finalize_outcomes(entries, outcomes, waits_ms, backend, metrics)
+            return finalize_outcomes(entries, outcomes, waits_ms, metrics)
         finally:
             inflight.dec(len(entries))

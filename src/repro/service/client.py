@@ -7,8 +7,8 @@ order, e.g. when an interactive solve overtakes queued sweep work).
 
 :func:`run_demo` is the subsystem's acceptance harness, shared by
 ``repro submit --demo``, the service tests and the CI smoke job: it fires
-N concurrent solve requests across several schemes, lanes and both
-numeric backends, verifies every response byte-identical against a direct
+N concurrent solve requests across several schemes, lanes and
+platforms, verifies every response byte-identical against a direct
 in-process solver call, and audits the service invariants (bounded queue,
 micro-batching engaged, cache hit rate) from the metrics snapshot.
 """
@@ -20,7 +20,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.core import vectorized
 from repro.experiments.cache import ResultCache
 from repro.service import protocol
 from repro.service.server import SolveService
@@ -297,16 +296,13 @@ def _demo_tasks(scheme: str, instance: int) -> List[Dict[str, float]]:
 def demo_wire_requests(
     n: int = 200, *, unique: Optional[int] = None, seed: int = 0
 ) -> List[Dict[str, object]]:
-    """``n`` solve requests cycling schemes, lanes, backends and instances.
+    """``n`` solve requests cycling schemes, lanes, platforms and instances.
 
     ``unique`` bounds the number of distinct instances (default ``n // 4``),
-    so later repetitions hit the result cache.  Backends cycle through
-    every backend usable in this process (scalar, plus numpy and jit when
-    importable/compilable).
+    so later repetitions hit the result cache.
     """
     if unique is None:
         unique = max(1, n // 4)
-    backends: Tuple[str, ...] = vectorized.available_backends()
     platforms = (
         None,  # paper defaults
         {"alpha_m": 2000.0, "xi_m": 25.0},
@@ -321,7 +317,6 @@ def demo_wire_requests(
             "id": f"demo-{i}",
             "scheme": scheme,
             "lane": "sweep" if rng.random() < 0.25 else "interactive",
-            "numeric": backends[instance % len(backends)],
             "tasks": _demo_tasks(scheme, instance),
         }
         platform = platforms[instance % len(platforms)]
@@ -333,15 +328,8 @@ def demo_wire_requests(
 
 def expected_result(wire: Dict[str, object]) -> Dict[str, object]:
     """Direct in-process execution of a wire request (the byte-identity
-    reference), with the request's backend pinned around the call."""
-    request = protocol.request_from_wire(wire)
-    previous = vectorized.get_backend_override()
-    if request.numeric is not None:
-        vectorized.set_backend(request.numeric)
-    try:
-        return protocol.execute_request(request)
-    finally:
-        vectorized.set_backend(previous)
+    reference)."""
+    return protocol.execute_request(protocol.request_from_wire(wire))
 
 
 # ---------------------------------------------------------------------------

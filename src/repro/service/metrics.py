@@ -7,28 +7,20 @@ from any thread, and read out either as a ``/metrics``-style text page
 (:meth:`MetricsRegistry.snapshot`) -- the payload behind the server's
 ``metrics`` request kind and ``repro serve --stats``.
 
-Histograms keep exact ``count``/``sum`` plus **two** percentile views:
-
-* a bounded reservoir of the most recent observations (``p50``/``p95``
-  on the text page) -- "what is solve latency doing right now";
-* a fixed log-spaced bucket sketch over every observation ever made
-  (``p50_stream``/``p99_stream``), immune to the reservoir's recency
-  bias: over a long open-loop replay a 1024-sample window forgets the
-  tail, understating p99 whenever the slow minority is sparser than one
-  in ~1024 recent events.  Buckets span 1e-3..1e6 at a fixed count per
-  decade, so the estimate carries a bounded *relative* error (the
-  bucket width, ~7.5%) and costs O(1) per observe.
-
-Both views render on the Prometheus text page so dashboards can compare
-the recent window against the all-time stream.
+Histograms keep exact ``count``/``sum``/``max`` plus percentiles
+(``p50``/``p95``/``p99``) from a fixed log-spaced bucket sketch over every
+observation ever made.  The sketch never forgets: over a long open-loop
+replay rare tail events stay represented however many fast ones follow.
+Buckets span 1e-3..1e6 at a fixed count per decade, so an estimate
+carries a bounded *relative* error (the bucket width, ~7.5%) and costs
+O(1) per observe.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from collections import deque
-from typing import Deque, Dict, List, Optional
+from typing import Dict, List, Optional
 
 #: Log-spaced bucket grid of the streaming percentile sketch: buckets
 #: cover [1e-3, 1e6) (sub-microsecond to ~17-minute latencies in ms) at
@@ -128,18 +120,17 @@ class Gauge:
 
 
 class Histogram:
-    """Exact count/sum plus reservoir *and* streaming percentiles."""
+    """Exact count/sum/max plus log-bucket sketch percentiles."""
 
     kind = "histogram"
 
-    def __init__(self, name: str, help_text: str = "", reservoir: int = 1024):
+    def __init__(self, name: str, help_text: str = ""):
         self.name = name
         self.help = help_text
         self._count = 0
         self._sum = 0.0
         self._max = 0.0
         self._min = math.inf
-        self._recent: Deque[float] = deque(maxlen=reservoir)
         self._buckets = [0] * _BUCKET_COUNT
         self._overflow = 0
         self._lock = threading.Lock()
@@ -160,7 +151,6 @@ class Histogram:
             self._sum += value
             self._max = max(self._max, value)
             self._min = min(self._min, value)
-            self._recent.append(value)
             if index >= _BUCKET_COUNT:
                 self._overflow += 1
             elif index >= 0:
@@ -178,22 +168,12 @@ class Histogram:
             return self._max
 
     def percentile(self, p: float) -> Optional[float]:
-        """The ``p``-th percentile (0..100) of recent observations."""
-        with self._lock:
-            if not self._recent:
-                return None
-            ordered = sorted(self._recent)
-        rank = min(len(ordered) - 1, max(0, round(p / 100.0 * (len(ordered) - 1))))
-        return ordered[rank]
+        """The ``p``-th percentile (0..100) over *all* observations, from
+        the log-bucket sketch (bounded ~7.5% relative error).
 
-    def streaming_percentile(self, p: float) -> Optional[float]:
-        """The ``p``-th percentile over *all* observations, from the
-        log-bucket sketch (bounded ~7.5% relative error).
-
-        Unlike :meth:`percentile` this never forgets: rare tail events
-        stay represented however long the replay runs.  Bucketed values
-        report the bucket's geometric midpoint, clamped to the observed
-        min/max; the overflow bucket reports the observed max.
+        Bucketed values report the bucket's geometric midpoint, clamped to
+        the observed min/max; the overflow bucket and ``p = 100`` report
+        the observed max.
         """
         with self._lock:
             count = self._count
@@ -203,6 +183,8 @@ class Histogram:
             overflow = self._overflow
             minimum, maximum = self._min, self._max
         target = max(1, math.ceil(p / 100.0 * count))
+        if target >= count:
+            return maximum
         underflow = count - overflow - sum(buckets)
         cumulative = underflow
         if cumulative >= target:
@@ -222,17 +204,8 @@ class Histogram:
         out: Dict[str, float] = {"count": count, "sum": total, "max": maximum}
         if count:
             out["mean"] = total / count
-        p50, p95 = self.percentile(50.0), self.percentile(95.0)
-        if p50 is not None:
-            out["p50"] = p50
-        if p95 is not None:
-            out["p95"] = p95
-        p50_stream = self.streaming_percentile(50.0)
-        p99_stream = self.streaming_percentile(99.0)
-        if p50_stream is not None:
-            out["p50_stream"] = p50_stream
-        if p99_stream is not None:
-            out["p99_stream"] = p99_stream
+            for p in (50, 95, 99):
+                out[f"p{p}"] = self.percentile(float(p))
         return out
 
     def render(self) -> List[str]:
@@ -241,7 +214,7 @@ class Histogram:
             f"{self.name}_count {_fmt(sample['count'])}",
             f"{self.name}_sum {_fmt(sample['sum'])}",
         ]
-        for key in ("p50", "p95", "p50_stream", "p99_stream", "max"):
+        for key in ("p50", "p95", "p99", "max"):
             if key in sample:
                 lines.append(f"{self.name}_{key} {_fmt(sample[key])}")
         return lines

@@ -7,10 +7,10 @@ exactly the formats the CLI already reads and writes, including the
 rule.
 
 A solve request names a platform, a task set, a scheme and (optionally) a
-numeric backend, a priority lane and a deadline::
+priority lane and a deadline::
 
     {"v": 1, "id": "r1", "kind": "solve", "scheme": "auto",
-     "lane": "interactive", "numeric": "numpy",
+     "lane": "interactive",
      "platform": {"alpha_m": 4000.0, "xi_m": 40.0, "num_cores": 8},
      "tasks": [{"name": "a", "release": 0, "deadline": 50, "workload": 2000}],
      "timeout_ms": 5000}
@@ -221,7 +221,6 @@ class SolveRequest:
     platform: Platform = field(default_factory=lambda: _PLATFORM_DEFAULTS)
     scheme: str = "auto"
     lane: str = LANE_INTERACTIVE
-    numeric: Optional[str] = None
     timeout_ms: Optional[float] = None
     solver: str = "exact"
     epsilon: Optional[float] = None
@@ -267,12 +266,6 @@ def request_from_wire(wire: Dict[str, object]) -> SolveRequest:
     if lane not in LANES:
         raise ProtocolError(
             E_BAD_REQUEST, f"unknown lane {lane!r}; valid: {', '.join(LANES)}"
-        )
-    numeric = wire.get("numeric")
-    if numeric is not None and numeric not in ("scalar", "numpy", "jit"):
-        raise ProtocolError(
-            E_BAD_REQUEST,
-            f"numeric must be 'scalar', 'numpy' or 'jit', got {numeric!r}",
         )
     solver = wire.get("solver", "exact")
     if solver not in SOLVER_TIERS:
@@ -323,7 +316,6 @@ def request_from_wire(wire: Dict[str, object]) -> SolveRequest:
         platform=platform_from_wire(wire.get("platform")),
         scheme=str(scheme),
         lane=str(lane),
-        numeric=numeric,
         timeout_ms=timeout_ms,
         solver=str(solver),
         epsilon=epsilon,
@@ -410,9 +402,7 @@ def execute_request(request: SolveRequest) -> Dict[str, object]:
 
     This is the deterministic part of a response: the resolved scheme, the
     schedule (in the serialization schema), the itemized energy and the
-    scheme-specific extras.  The caller is responsible for pinning the
-    numeric backend (`request.numeric`) process-wide before calling; the
-    batcher does this per batch.  The solver tier is request-scoped and
+    scheme-specific extras.  The solver tier is request-scoped and
     pinned here: offline schemes dispatch to the fptas solvers directly,
     online schemes pick the tier up inside every replan.  Exact-tier
     payloads are byte-identical to the pre-tier protocol; fptas payloads

@@ -33,14 +33,10 @@ import sys
 import time
 from typing import Dict, List, Optional, Set, Union
 
+from repro.core import vectorized
 from repro.experiments.cache import ResultCache
 from repro.service import protocol
-from repro.service.batcher import (
-    Batcher,
-    finalize_outcomes,
-    form_batches,
-    resolve_numeric,
-)
+from repro.service.batcher import Batcher, finalize_outcomes, form_batches
 from repro.service.metrics import MetricsRegistry, labelled_name, service_metrics
 from repro.service.queue import AdmissionQueue, QueueEntry, ShardedAdmissionQueue
 from repro.service.shard import ShardPool
@@ -191,6 +187,12 @@ class SolveService:
                     labelled_name("repro_shard_queue_depth", shard=index)
                 ).set(depth)
 
+    def _update_engine_gauge(self) -> None:
+        """Export the numeric engine (``jit`` or ``numpy``) this process
+        solves with, so a kernel demotion shows on the metrics page."""
+        engine = vectorized.get_backend()
+        self.metrics.gauge(labelled_name("repro_numeric_engine", engine=engine)).set(1.0)
+
     # -- request handling ----------------------------------------------------
 
     async def handle_message(self, wire: Dict[str, object]) -> Optional[Dict[str, object]]:
@@ -200,6 +202,7 @@ class SolveService:
         if kind == "ping":
             return protocol.ping_response(request_id)
         if kind == "metrics":
+            self._update_engine_gauge()
             return protocol.ok_response(
                 request_id,
                 {
@@ -366,7 +369,6 @@ class SolveService:
         assert self.shard_pool is not None
         if not entries:
             return
-        backend = resolve_numeric(entries[0].request)
         metrics = self.metrics
         metrics.counter("repro_batches_total").inc()
         metrics.counter(
@@ -384,14 +386,13 @@ class SolveService:
                 for entry in entries
             ]
             future = self.shard_pool.submit(
-                index, [entry.request for entry in entries], backend
+                index, [entry.request for entry in entries]
             )
             outcomes = await asyncio.wrap_future(future)
             responses = finalize_outcomes(
                 entries,
                 outcomes,
                 waits_ms,
-                backend,
                 metrics,
                 provenance_extra={"shard": index},
             )
@@ -493,6 +494,7 @@ class SolveService:
                 pass
 
     async def _serve_http_metrics(self, writer: asyncio.StreamWriter) -> None:
+        self._update_engine_gauge()
         body = self.metrics.render_text().encode("utf-8")
         head = (
             b"HTTP/1.1 200 OK\r\n"
@@ -559,24 +561,31 @@ async def run_server(
     install_signal_handlers: bool = True,
     announce=print,
 ) -> None:
-    """Serve TCP until SIGTERM/SIGINT, then drain gracefully and return."""
-    server = await service.serve_tcp(host, port)
-    bound = server.sockets[0].getsockname()
-    announce(f"repro service listening on {bound[0]}:{bound[1]}")
+    """Serve TCP until SIGTERM/SIGINT, then drain gracefully and return.
+
+    The signal handlers go in before the socket is bound and the listening
+    line is announced, so a signal sent the moment that line appears
+    always drains instead of killing the process.
+    """
     stop = asyncio.Event()
     loop = asyncio.get_running_loop()
     if install_signal_handlers:
         for signum in (signal.SIGTERM, signal.SIGINT):
             loop.add_signal_handler(signum, stop.set)
     try:
-        await stop.wait()
+        server = await service.serve_tcp(host, port)
+        bound = server.sockets[0].getsockname()
+        announce(f"repro service listening on {bound[0]}:{bound[1]}")
+        try:
+            await stop.wait()
+        finally:
+            announce("repro service draining...")
+            server.close()
+            await server.wait_closed()
+            await service.drain()
+            await service.close_connections()
     finally:
-        announce("repro service draining...")
-        server.close()
-        await server.wait_closed()
-        await service.drain()
-        await service.close_connections()
         if install_signal_handlers:
             for signum in (signal.SIGTERM, signal.SIGINT):
                 loop.remove_signal_handler(signum)
-        announce("repro service drained cleanly")
+    announce("repro service drained cleanly")

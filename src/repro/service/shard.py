@@ -20,8 +20,7 @@ process -- but must carry an explicit pragma.
 
 Byte-identity contract: a worker executes batches through the same
 :func:`~repro.service.batcher.execute_batch_requests` core the inline
-batcher uses, with the request's numeric backend pinned process-wide
-first, so canonical result bytes are identical for 1 shard and N shards,
+batcher uses, so canonical result bytes are identical for 1 shard and N shards,
 cold and warm cache (asserted by ``tests/test_service_shard.py`` and the
 ``service-shard-smoke`` CI job).
 """
@@ -80,32 +79,15 @@ def _worker_cache(root: Optional[str]) -> Optional[ResultCache]:
 def shard_execute(
     requests: Sequence[protocol.SolveRequest],
     cache_root: Optional[str],
-    backend: str,
 ) -> List[Dict[str, object]]:
     """Worker-side entry point: execute one compatible micro-batch.
 
-    Runs inside the shard's worker process.  The batch's numeric backend
-    is pinned process-wide first (idempotent -- a spawn-context worker
-    inherits no programmatic override, and requests may ask for a
-    non-default backend), then the batch flows through the exact
-    execution core the inline batcher uses.  Returns the plain JSON-able
-    outcome dicts of :func:`execute_batch_requests`; the parent turns
-    them into wire responses and metrics.
+    Runs inside the shard's worker process, through the exact execution
+    core the inline batcher uses.  Returns the plain JSON-able outcome
+    dicts of :func:`execute_batch_requests`; the parent turns them into
+    wire responses and metrics.
     """
-    if backend == "numpy" and not vectorized.HAS_NUMPY:
-        # Mirror the inline batcher's guard ('jit' degrades gracefully
-        # inside set_backend instead, with backend-scoped cache keys).
-        message = (
-            "numeric backend 'numpy' requested but numpy is not installed "
-            "on this server"
-        )
-        return [
-            {"ok": False, "code": protocol.E_BAD_REQUEST, "message": message}
-            for _ in requests
-        ]
-    if vectorized.get_backend() != backend:
-        vectorized.set_backend(backend)
-    return execute_batch_requests(list(requests), _worker_cache(cache_root), backend)
+    return execute_batch_requests(list(requests), _worker_cache(cache_root))
 
 
 def shard_memo_stats() -> Dict[str, float]:
@@ -123,7 +105,7 @@ def shard_memo_stats() -> Dict[str, float]:
 class ShardPool:
     """The ring plus one long-lived worker process per shard.
 
-    Workers are warmed (forked and backend/solver-pinned) at
+    Workers are warmed (forked and solver-pinned) at
     construction, before the caller starts an event loop around the pool.
     ``cache`` is the shared on-disk result cache; workers re-open it by
     root path on their side of the process boundary.
@@ -134,7 +116,6 @@ class ShardPool:
         shards: int,
         *,
         cache: Optional[ResultCache] = None,
-        backend: Optional[str] = None,
         vnodes: int = DEFAULT_VNODES,
     ):
         if shards < 1:
@@ -142,7 +123,7 @@ class ShardPool:
         self.ring = HashRing(shards, vnodes=vnodes)
         self.cache = cache
         self.workers: List[WorkerProcess] = [
-            WorkerProcess(backend=backend) for _ in range(shards)
+            WorkerProcess() for _ in range(shards)
         ]
 
     def __len__(self) -> int:
@@ -156,13 +137,12 @@ class ShardPool:
         self,
         shard: int,
         requests: Sequence[protocol.SolveRequest],
-        backend: str,
     ) -> "Future":
         """Dispatch one formed batch to ``shard``'s worker; resolves to
         the worker's outcome dicts."""
         root = self.cache.root if self.cache is not None else None
         return self.workers[shard].submit(
-            shard_execute, list(requests), root, backend
+            shard_execute, list(requests), root
         )
 
     def memo_stats(self, shard: int) -> Dict[str, float]:

@@ -27,8 +27,9 @@ Two entry points share the replay loop:
   and returns the raw ``(core, interval)`` segment list plus the horizon,
   *without* materializing per-core timelines.  The work-unit pipeline in
   :mod:`repro.experiments.runner` validates and prices these segments
-  directly (batched on the numpy backend), which profiling shows erases
-  most of the non-solver share of a work unit -- see docs/PERFORMANCE.md.
+  directly (batched with numpy above the small-table cutoff), which
+  profiling shows erases most of the non-solver share of a work unit --
+  see docs/PERFORMANCE.md.
 """
 
 from __future__ import annotations
@@ -121,7 +122,11 @@ def prepare_trace(
 
     groups: List[Tuple[float, List[Task]]] = []
     for task in task_list:
-        if groups and math.isclose(groups[-1][0], task.release, abs_tol=1e-12):
+        # Absolute tolerance only: a relative one merges releases ~6e-8 ms
+        # apart at t = 60 ms, starting the later task before its release.
+        if groups and math.isclose(
+            groups[-1][0], task.release, rel_tol=0.0, abs_tol=1e-12
+        ):
             groups[-1][1].append(task)
         else:
             groups.append((task.release, [task]))

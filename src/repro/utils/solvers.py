@@ -25,10 +25,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-try:  # the batched primitives need numpy; everything scalar does not
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-less CI legs
-    _np = None  # type: ignore[assignment]
+import numpy as _np
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -277,7 +274,7 @@ def minimize_convex_2d_box(
 # ---------------------------------------------------------------------------
 # Batched primitives (numpy numeric core)
 #
-# The vectorized backend (repro.core.vectorized) replaces "one Python call
+# The vectorized core (repro.core.vectorized) replaces "one Python call
 # per probe" with "one array call per *iteration*": K independent 1-D
 # problems advance together, each iteration evaluating every still-active
 # problem's next probe in a single batched objective call.  The batched
@@ -286,12 +283,6 @@ def minimize_convex_2d_box(
 # ``idx`` array lets callers route each probe to its own sub-problem
 # (e.g. its own (i, j) cell of the pair enumeration).
 # ---------------------------------------------------------------------------
-
-
-def _require_numpy(name: str):
-    if _np is None:  # pragma: no cover - exercised on numpy-less CI legs
-        raise RuntimeError(f"{name} requires numpy, which is not installed")
-    return _np
 
 
 def bisect_increasing_batch(
@@ -310,7 +301,7 @@ def bisect_increasing_batch(
     evaluate problem ``idx[k]`` at position ``xs[k]``; only still-active
     problems are evaluated each iteration (boolean-mask advancement).
     """
-    np = _require_numpy("bisect_increasing_batch")
+    np = _np
     lo = np.asarray(lo, dtype=np.float64).copy()
     hi = np.asarray(hi, dtype=np.float64).copy()
     if (lo > hi).any():
@@ -369,7 +360,7 @@ def golden_section_minimize_batch(
     covering every still-active problem's single new probe.  Returns
     ``(argmins, values)``.
     """
-    np = _require_numpy("golden_section_minimize_batch")
+    np = _np
     lo = np.asarray(lo, dtype=np.float64)
     hi = np.asarray(hi, dtype=np.float64)
     if (lo > hi).any():

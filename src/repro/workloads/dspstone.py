@@ -134,10 +134,7 @@ def dspstone_trace(
     # (bit-identical -- see fft_trace_columns).  The matmul model consumes
     # a data-dependent number of randint() draws and stays scalar.
     if benchmark == "fft" and n >= _BATCH_MIN:
-        from repro.core import vectorized
-
-        if vectorized.use_numpy():
-            return _fft_trace_batched(rng, utilization_factor, n, streams)
+        return _fft_trace_batched(rng, utilization_factor, n, streams)
     draw = (
         fft_instance_kilocycles if benchmark == "fft" else matmul_instance_kilocycles
     )

@@ -57,23 +57,22 @@ def synthetic_tasks(
         # never change experiment outputs.
         from repro.core import vectorized
 
-        if vectorized.use_numpy():
-            draws = [rng.random() for _ in range(3 * n - 1)]
-            releases, spans, workloads = vectorized.synthetic_trace_columns(
-                draws[2::3],
-                [draws[0], *draws[3::3]],
-                [draws[1], *draws[4::3]],
-                min_interarrival=min_interarrival,
-                max_interarrival=max_interarrival,
-                span_range=span_range,
-                workload_range=workload_range,
+        draws = [rng.random() for _ in range(3 * n - 1)]
+        releases, spans, workloads = vectorized.synthetic_trace_columns(
+            draws[2::3],
+            [draws[0], *draws[3::3]],
+            [draws[1], *draws[4::3]],
+            min_interarrival=min_interarrival,
+            max_interarrival=max_interarrival,
+            span_range=span_range,
+            workload_range=workload_range,
+        )
+        return [
+            Task(release, release + span, workload, f"S{index}")
+            for index, (release, span, workload) in enumerate(
+                zip(releases, spans, workloads)
             )
-            return [
-                Task(release, release + span, workload, f"S{index}")
-                for index, (release, span, workload) in enumerate(
-                    zip(releases, spans, workloads)
-                )
-            ]
+        ]
     tasks: List[Task] = []
     t = 0.0
     for index in range(n):
@@ -114,17 +113,16 @@ def agreeable_trace(
     if n >= _BATCH_MIN:
         from repro.core import vectorized
 
-        if vectorized.use_numpy():
-            draws = [rng.random() for _ in range(3 * n - 1)]
-            return vectorized.agreeable_trace_columns(
-                draws[2::3],
-                [draws[0], *draws[3::3]],
-                [draws[1], *draws[4::3]],
-                min_interarrival=min_interarrival,
-                max_interarrival=max_interarrival,
-                span_range=span_range,
-                workload_range=workload_range,
-            )
+        draws = [rng.random() for _ in range(3 * n - 1)]
+        return vectorized.agreeable_trace_columns(
+            draws[2::3],
+            [draws[0], *draws[3::3]],
+            [draws[1], *draws[4::3]],
+            min_interarrival=min_interarrival,
+            max_interarrival=max_interarrival,
+            span_range=span_range,
+            workload_range=workload_range,
+        )
     releases: List[float] = []
     deadlines: List[float] = []
     workloads: List[float] = []

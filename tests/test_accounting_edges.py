@@ -1,8 +1,9 @@
 """Idle-window edge cases for the segment-table accountant.
 
 The batched pricing kernel only engages above the small-table cutoff, so
-every scenario here is built both small (scalar reference loop) and
-large (>_SMALL_N segments, numpy batch when available) and checked
+every scenario runs on both paths -- the scalar reference loop (cutoff
+raised past the table size) and the default size selection (numpy batch
+above _SMALL_N segments) -- and is checked
 against the independent full path (:func:`repro.energy.accounting.account`
 over a materialized ``Schedule``).  Covered shapes:
 
@@ -33,11 +34,15 @@ REL_TOL = 1e-9
 
 POLICIES = (SleepPolicy.BREAK_EVEN, SleepPolicy.ALWAYS, SleepPolicy.NEVER)
 
+#: The default small-table cutoff, above which the batch path engages.
+BATCH_CUTOFF = vectorized._SMALL_N
 
-@pytest.fixture(autouse=True)
-def _reset_backend():
-    yield
-    vectorized.set_backend(None)
+
+def use_path(backend: str, monkeypatch) -> None:
+    """``scalar``: the reference loop at any size; ``numpy``: the default
+    size selection (batch above the cutoff)."""
+    if backend == "scalar":
+        monkeypatch.setattr(vectorized, "_SMALL_N", 1 << 30)
 
 
 def platform_with(xi_m: float = 8.0, xi: float = 5.0) -> Platform:
@@ -83,10 +88,7 @@ def assert_matches_full_path(segments, platform, horizon):
 
 
 def backends():
-    names = ["scalar"]
-    if vectorized.HAS_NUMPY:
-        names.append("numpy")
-    return names
+    return ["scalar", "numpy"]
 
 
 def tile(segments, copies: int, stride: float):
@@ -103,8 +105,8 @@ def tile(segments, copies: int, stride: float):
 
 class TestZeroLengthIdleWindows:
     @pytest.mark.parametrize("backend", backends())
-    def test_abutting_segments_price_no_gap(self, backend):
-        vectorized.set_backend(backend)
+    def test_abutting_segments_price_no_gap(self, backend, monkeypatch):
+        use_path(backend, monkeypatch)
         platform = platform_with()
         base = [
             seg(0, 0.0, 4.0),
@@ -112,7 +114,7 @@ class TestZeroLengthIdleWindows:
             seg(1, 0.0, 9.0),
         ]
         segments = tile(base, 30, 9.0)  # 90 segments, still gap-free
-        assert len(segments) > vectorized._SMALL_N
+        assert len(segments) > BATCH_CUTOFF
         horizon = (0.0, 30 * 9.0)
         priced = assert_matches_full_path(segments, platform, horizon)
         for breakdown in priced:
@@ -123,8 +125,8 @@ class TestZeroLengthIdleWindows:
             )
 
     @pytest.mark.parametrize("backend", backends())
-    def test_busy_span_exactly_touching_horizon(self, backend):
-        vectorized.set_backend(backend)
+    def test_busy_span_exactly_touching_horizon(self, backend, monkeypatch):
+        use_path(backend, monkeypatch)
         platform = platform_with()
         base = [seg(0, 0.0, 5.0), seg(1, 5.0, 10.0)]
         segments = tile(base, 40, 10.0)
@@ -138,8 +140,8 @@ class TestShortBackToBackSleeps:
     """Gaps shorter than xi_m: BREAK_EVEN stays powered, ALWAYS pays."""
 
     @pytest.mark.parametrize("backend", backends())
-    def test_sub_break_even_gaps(self, backend):
-        vectorized.set_backend(backend)
+    def test_sub_break_even_gaps(self, backend, monkeypatch):
+        use_path(backend, monkeypatch)
         platform = platform_with(xi_m=8.0)
         gap = 3.0  # < xi_m
         busy = 5.0
@@ -177,8 +179,8 @@ class TestShortBackToBackSleeps:
         assert always.memory_idle > never.memory_idle
 
     @pytest.mark.parametrize("backend", backends())
-    def test_gap_exactly_at_break_even(self, backend):
-        vectorized.set_backend(backend)
+    def test_gap_exactly_at_break_even(self, backend, monkeypatch):
+        use_path(backend, monkeypatch)
         platform = platform_with(xi_m=8.0)
         gap = 8.0  # == xi_m: sleeping and staying powered cost the same
         copies = 35
@@ -198,8 +200,8 @@ class TestShortBackToBackSleeps:
 
 class TestAllCoresIdleBoundaries:
     @pytest.mark.parametrize("backend", backends())
-    def test_leading_and_trailing_idle_windows(self, backend):
-        vectorized.set_backend(backend)
+    def test_leading_and_trailing_idle_windows(self, backend, monkeypatch):
+        use_path(backend, monkeypatch)
         platform = platform_with(xi_m=8.0)
         copies = 35
         stride = 6.0
@@ -224,8 +226,8 @@ class TestAllCoresIdleBoundaries:
         )
 
     @pytest.mark.parametrize("backend", backends())
-    def test_single_segment_wide_horizon(self, backend):
-        vectorized.set_backend(backend)
+    def test_single_segment_wide_horizon(self, backend, monkeypatch):
+        use_path(backend, monkeypatch)
         platform = platform_with()
         segments = [seg(0, 10.0, 12.0)]
         horizon = (0.0, 1000.0)
@@ -234,9 +236,9 @@ class TestAllCoresIdleBoundaries:
         assert be.memory_busy_time == pytest.approx(2.0, rel=REL_TOL)
         assert be.memory_sleep_time == pytest.approx(998.0, rel=REL_TOL)
 
-    def test_scalar_reference_is_bit_exact_vs_account(self):
+    def test_scalar_reference_is_bit_exact_vs_account(self, monkeypatch):
         """On the scalar path the fast accountant is *exactly* account()."""
-        vectorized.set_backend("scalar")
+        use_path("scalar", monkeypatch)
         platform = platform_with()
         segments = tile(
             [seg(0, 0.0, 3.0), seg(1, 1.0, 4.5), seg(2, 6.0, 9.0)], 10, 11.0

@@ -1,11 +1,13 @@
-"""Fast-path properties: randomized traces, both backends, pinned seeds.
+"""Fast-path properties: randomized traces, every path, pinned seeds.
 
 The batched simulation/accounting fast path must be invisible in the
 outputs: trace generation stays bit-identical to the scalar loop,
-``simulate_unit`` energies agree to 1e-9 across backends, and rounded
-exhibit rows (``SeriesResult.rows()``) are *byte-identical* no matter
-which backend produced them.  The fused small-n overhead solve must
-match the unfused numpy scan path float-for-float.
+``simulate_unit`` energies agree to 1e-9 with the pure-Python paths, and
+rounded exhibit rows (``SeriesResult.rows()``) are *byte-identical* no
+matter which engine produced them -- the compiled kernels engaged or
+disabled (by patching :mod:`repro.core.kernels`), or every size-selected
+scalar loop forced.  The fused small-n overhead solve must match the
+unfused numpy scan path float-for-float.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import random
 import pytest
 
 from repro.core import vectorized
-from repro.core.blocks import block_energy_cache_clear
 from repro.core.transition import solve_common_release_with_overhead
 from repro.energy.accounting import SleepPolicy, account_segments
 from repro.experiments.runner import SeriesResult, compare_policies
@@ -25,19 +26,14 @@ from repro.sim.engine import simulate_segments
 from repro.baselines.mbkp import mbkps
 from repro.workloads.dspstone import dspstone_trace
 from repro.workloads.synthetic import synthetic_tasks
-
-REL_TOL = 1e-9
-
-needs_numpy = pytest.mark.skipif(
-    not vectorized.HAS_NUMPY, reason="numpy backend unavailable"
+from tests.engine_helpers import (
+    clear_memos,
+    kernels_disabled,
+    per_engine,
+    pure_python_paths,
 )
 
-
-@pytest.fixture(autouse=True)
-def _reset_backend():
-    yield
-    vectorized.set_backend(None)
-
+REL_TOL = 1e-9
 
 def experiment_platform(num_cores: int = 4) -> Platform:
     return Platform(
@@ -48,15 +44,12 @@ def experiment_platform(num_cores: int = 4) -> Platform:
 
 
 def per_backend(build):
-    """Evaluate ``build()`` under each backend with cold memo caches."""
-    results = {}
-    for backend in ("scalar", "numpy"):
-        vectorized.set_backend(backend)
-        block_energy_cache_clear()
-        vectorized.block_arrays_cache_clear()
-        results[backend] = build()
-    vectorized.set_backend(None)
-    return results["scalar"], results["numpy"]
+    """``build()`` on the forced pure-Python paths, then on the engine as it
+    runs by default, with cold memo caches."""
+    with pure_python_paths():
+        scalar = build()
+    clear_memos()
+    return scalar, build()
 
 
 def fft_factory(seed: int):
@@ -69,7 +62,6 @@ def synthetic_factory(seed: int):
     return synthetic_tasks(n=20, max_interarrival=30.0, seed=seed)
 
 
-@needs_numpy
 class TestTraceGenerationBitIdentity:
     """The columnwise trace builds may never change experiment inputs."""
 
@@ -90,7 +82,7 @@ class TestTraceGenerationBitIdentity:
     @pytest.mark.parametrize("streams", [1, 3])
     def test_matmul_trace_stays_scalar_and_identical(self, streams):
         # matmul consumes a data-dependent number of draws and must not
-        # be batched; both backends run the same scalar loop.
+        # be batched; both paths run the same scalar loop.
         build = lambda: dspstone_trace(  # noqa: E731
             "matmul", utilization_factor=4.0, n=18, seed=7, streams=streams
         )
@@ -100,9 +92,8 @@ class TestTraceGenerationBitIdentity:
         ]
 
 
-@needs_numpy
 class TestSimulateUnitAgreement:
-    """Unit energies agree across backends to 1e-9 relative."""
+    """Unit energies agree across paths and engines to 1e-9 relative."""
 
     @pytest.mark.parametrize("factory", [fft_factory, synthetic_factory])
     @pytest.mark.parametrize("seed", range(4))
@@ -132,8 +123,21 @@ class TestSimulateUnitAgreement:
                 )
             return json.dumps(series.rows(), sort_keys=True)
 
-        scalar_rows, numpy_rows = per_backend(build)
-        assert scalar_rows == numpy_rows
+        scalar_rows, engine_rows = per_backend(build)
+        assert scalar_rows == engine_rows
+        for rows in per_engine(build).values():
+            assert rows == engine_rows
+
+    def test_fig6_slice_rows_identical_across_engines(self):
+        """A quick Fig. 6 slice, kernels engaged and disabled: same rows."""
+        from repro.experiments.fig6 import fig6_specs
+        from repro.experiments.parallel import run_series
+
+        specs = fig6_specs("fft", u_values=[2, 5, 9], instances=24)
+        rows = per_engine(
+            lambda: run_series("fig6", specs, seeds=2, max_workers=1).rows()
+        )
+        assert len(set(json.dumps(r, sort_keys=True) for r in rows.values())) == 1
 
 
 class TestSharedSegmentTablePricing:
@@ -172,7 +176,6 @@ class TestSharedSegmentTablePricing:
         assert both[1].memory_total >= both[0].memory_total - 1e-12
 
 
-@needs_numpy
 class TestFusedOverheadSolve:
     """The fused small-n kernel must equal the unfused scan bit-for-bit."""
 
@@ -193,8 +196,8 @@ class TestFusedOverheadSolve:
             CorePowerModel(beta=1e-6, lam=3.0, alpha=alpha, s_up=1000.0, xi=5.0),
             MemoryModel(alpha_m=10.0, xi_m=8.0),
         )
-        vectorized.set_backend("numpy")
-        fused = solve_common_release_with_overhead(ts, platform)
+        with kernels_disabled():
+            fused = solve_common_release_with_overhead(ts, platform)
         # Shrinking the small-n cutoff to 0 forces the unfused scan path.
         monkeypatch.setattr(vectorized, "_SMALL_N", 0)
         scan = solve_common_release_with_overhead(ts, platform)

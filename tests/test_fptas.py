@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import vectorized
 from repro.core.agreeable import solve_agreeable
 from repro.core.common_release import solve_common_release
 from repro.core.fptas import (
@@ -37,17 +36,17 @@ from repro.service.protocol import (
     request_from_wire,
 )
 from repro.workloads.synthetic import agreeable_trace
+from tests.engine_helpers import per_engine, pure_python_paths
 
 
 @pytest.fixture(autouse=True)
-def _reset_tier_and_backend(monkeypatch):
+def _reset_tier(monkeypatch):
     """Every test starts on the exact tier with no env leakage."""
     monkeypatch.delenv(TIER_ENV, raising=False)
     monkeypatch.delenv(EPSILON_ENV, raising=False)
     set_solver_tier(None)
     yield
     set_solver_tier(None)
-    vectorized.set_backend(None)
 
 
 def make_platform(alpha: float = 2.0, alpha_m: float = 10.0, xi_m: float = 0.0):
@@ -254,6 +253,29 @@ class TestFixedInstanceBounds:
             approx.schedule(), AGREEABLE, max_speed=platform.core.s_up
         )
 
+    @pytest.mark.parametrize("n, alpha_m", [(11, 0.5), (4, 41.0)])
+    def test_agreeable_bound_on_short_block_in_wide_windows(self, n, alpha_m):
+        # Windows ~1000x the optimal busy length: the objective is a
+        # valley along (s, e) -> (s + t, e + t), where coordinate descent
+        # alone stalls, and the span holds far more grid pitches than a
+        # capped grid allowed.  Both broke the bound at eps = 0.02.
+        platform = Platform(
+            CorePowerModel(beta=1e-6, lam=2.0, alpha=0.0, s_up=2000.0),
+            MemoryModel(alpha_m=alpha_m),
+        )
+        tasks = TaskSet(Task(0.0, 8.0 + 0.5 * k, 10.0) for k in range(n))
+        exact = solve_agreeable(tasks, platform).predicted_energy
+        approx = solve_agreeable_fptas(tasks, platform, epsilon=0.02)
+        assert approx.predicted_energy <= 1.02 * exact
+        columns = solve_agreeable_fptas_columns(
+            [t.release for t in tasks],
+            [t.deadline for t in tasks],
+            [t.workload for t in tasks],
+            platform,
+            epsilon=0.02,
+        )
+        assert columns["energy"] == approx.predicted_energy
+
     def test_agreeable_overhead_bound(self):
         platform = make_platform(xi_m=5.0)
         exact = solve_agreeable(
@@ -329,15 +351,11 @@ class TestColumnsPath:
         releases, deadlines, workloads = agreeable_trace(
             n=40, max_interarrival=120.0, seed=11
         )
-        energies = {}
-        for backend in ("scalar", "numpy", "jit"):
-            if backend == "numpy" and not vectorized.HAS_NUMPY:
-                continue
-            vectorized.set_backend(backend)
-            result = solve_agreeable_fptas_columns(
+        energies = per_engine(
+            lambda: solve_agreeable_fptas_columns(
                 releases, deadlines, workloads, platform, epsilon=0.1
-            )
-            energies[backend] = result["energy"]
+            )["energy"]
+        )
         assert len(set(energies.values())) == 1
 
     def test_columns_validates_shape_and_order(self):
@@ -371,10 +389,7 @@ class TestAgreeableTrace:
         assert all(d >= r for r, d in zip(releases, deadlines))
 
     def test_backend_bit_identity(self):
-        if not vectorized.HAS_NUMPY:
-            pytest.skip("numpy backend unavailable")
-        vectorized.set_backend("scalar")
-        scalar = agreeable_trace(n=500, max_interarrival=120.0, seed=9)
-        vectorized.set_backend("numpy")
+        with pure_python_paths():
+            scalar = agreeable_trace(n=500, max_interarrival=120.0, seed=9)
         batched = agreeable_trace(n=500, max_interarrival=120.0, seed=9)
         assert scalar == batched

@@ -1,22 +1,20 @@
 """Property tests for the ε-approximate tier (hypothesis).
 
 The contract under randomized instances and platforms, on every numeric
-backend: ``energy(fptas, ε) <= (1 + ε) * energy(exact)``, and every
-schedule the tier accepts is feasible — all placements inside task
-windows, at or below ``s_up``, with no deadline misses.  Backend
-coverage is explicit because the fptas pricing path is *claimed* to be
-backend-independent by construction; these tests would catch any
-backend-sensitive term sneaking into it.
+engine this host runs (numpy, and the compiled kernels when they load):
+``energy(fptas, ε) <= (1 + ε) * energy(exact)``, and every schedule the
+tier accepts is feasible — all placements inside task windows, at or
+below ``s_up``, with no deadline misses.  Engine coverage is explicit
+because the fptas pricing path is *claimed* to be engine-independent by
+construction; these tests would catch any engine-sensitive term
+sneaking into it.
 """
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core import vectorized
 from repro.core.agreeable import solve_agreeable
-from repro.core.blocks import block_energy_cache_clear
 from repro.core.common_release import solve_common_release
 from repro.core.fptas import (
     solve_agreeable_fptas,
@@ -25,27 +23,13 @@ from repro.core.fptas import (
 from repro.core.transition import solve_common_release_with_overhead
 from repro.models import CorePowerModel, MemoryModel, Platform, Task, TaskSet
 from repro.schedule import validate_schedule
+from tests.engine_helpers import per_engine
 
 EPSILON = 0.1
 
-BACKENDS = ["scalar"] + (["numpy", "jit"] if vectorized.HAS_NUMPY else [])
-
-
-@pytest.fixture(autouse=True)
-def _reset_backend():
-    yield
-    vectorized.set_backend(None)
-
-
 def per_backend(solve):
-    """``solve()`` under every available backend with cold memo caches."""
-    results = {}
-    for backend in BACKENDS:
-        vectorized.set_backend(backend)
-        block_energy_cache_clear()
-        vectorized.block_arrays_cache_clear()
-        results[backend] = solve()
-    return results
+    """``solve()`` under every engine this host runs, cold memo caches."""
+    return per_engine(solve)
 
 
 # -- strategies ---------------------------------------------------------------

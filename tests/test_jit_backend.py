@@ -1,48 +1,40 @@
-"""The compiled (``REPRO_NUMERIC=jit``) numeric backend.
+"""The compiled (``jit``) numeric engine.
 
-Three layers of coverage, mirroring the ISSUE-6 acceptance gates:
+Three layers of coverage:
 
-* cross-backend agreement to 1e-9 relative on randomized task sets for
-  every solver the compiled tier accelerates (plus bit-identity between
-  the kernels' fused Section-7 solve and the numpy fast path it shadows);
-* graceful degradation -- requesting ``jit`` on a host where neither
-  numba nor cffi imports must fall back to numpy/scalar with exactly one
-  structured :class:`~repro.core.kernels.JitUnavailableWarning`, never a
-  mid-run crash (faked by intercepting the provider imports);
-* backend-keyed caching -- ``ResultCache`` keys must differ across all
-  three backends so a jit-computed entry is never served to a numpy (or
-  scalar) request.
+* agreement to 1e-9 relative with the numpy engine and the scalar
+  references on randomized task sets for every solver the kernels
+  accelerate (plus bit-identity between the kernels' fused Section-7
+  solve and the Python fast path it shadows);
+* demotion -- kernels that build but fail their self-check must leave
+  the numpy engine serving with exactly one structured
+  :class:`~repro.core.kernels.JitUnavailableWarning`, never a mid-run
+  crash, while a host that cannot build them stays silent;
+* engine-keyed caching -- ``ResultCache`` keys must differ across the
+  engines so a jit-computed entry is never served to a numpy host.
 
-Agreement tests skip wholesale when no compiled provider loads (e.g. a
-CI leg without cffi *and* numba); the degradation and cache-key tests run
-everywhere.
+Agreement tests skip wholesale when the kernels do not load (e.g. a CI
+leg without cffi); the demotion and cache-key tests run everywhere.
 """
 
 from __future__ import annotations
 
-import builtins
 import random
 import warnings
 
 import pytest
 
-from repro.core import kernels, vectorized
-from repro.core.blocks import block_energy, block_energy_cache_clear, solve_block
+from repro.core import blocks, kernels, vectorized
+from repro.core.blocks import block_energy, solve_block
 from repro.core.transition import solve_common_release_with_overhead
 from repro.models import CorePowerModel, MemoryModel, Platform, Task, TaskSet
+from tests.engine_helpers import engine, engines, kernels_disabled, per_engine
 
 REL_TOL = 1e-9
 
 needs_jit = pytest.mark.skipif(
-    not kernels.available(), reason="no compiled kernel provider loads"
+    not kernels.available(), reason="the compiled kernels do not load"
 )
-
-
-@pytest.fixture(autouse=True)
-def _reset_backend():
-    """Leave the process on auto selection no matter how a test exits."""
-    yield
-    vectorized.set_backend(None)
 
 
 def make_platform(
@@ -77,15 +69,9 @@ def random_block_tasks(rng: random.Random, n: int) -> TaskSet:
     return TaskSet(tasks)
 
 
-def per_backend(solve, backends=("scalar", "numpy", "jit")):
-    """Evaluate ``solve()`` under each backend with cold memo caches."""
-    results = {}
-    for backend in backends:
-        vectorized.set_backend(backend)
-        block_energy_cache_clear()
-        vectorized.block_arrays_cache_clear()
-        results[backend] = solve()
-    return results
+def per_backend(solve):
+    """``solve()`` on the numpy and jit engines with cold memo caches."""
+    return per_engine(solve, ("numpy", "jit"))
 
 
 def assert_close(reference: float, candidate: float) -> None:
@@ -108,7 +94,7 @@ class TestJitAgreement:
         # The C kernel transcribes the scalar accumulation loop statement
         # for statement: identical floats, not merely 1e-9-close.  (numpy
         # may differ in the last ulp -- pairwise np.sum reassociates.)
-        assert out["jit"] == out["scalar"]
+        assert out["jit"] == blocks._block_energy_scalar(tasks, platform, start, end)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.05])
     @pytest.mark.parametrize("seed", range(4))
@@ -117,8 +103,15 @@ class TestJitAgreement:
         tasks = random_block_tasks(rng, rng.randint(1, 6))
         platform = make_platform(alpha)
         out = per_backend(lambda: solve_block(tasks, platform))
+        x_bounds, y_bounds, starts = blocks._descent_box(tasks)
+        _, _, reference = blocks._minimize_2d(
+            lambda s, e: blocks._block_energy_scalar(tasks, platform, s, e),
+            x_bounds,
+            y_bounds,
+            starts,
+        )
         for backend in ("numpy", "jit"):
-            assert_close(out["scalar"].energy, out[backend].energy)
+            assert_close(reference, out[backend].energy)
 
     @pytest.mark.parametrize("alpha,xi,xi_m", [(0.05, 5.0, 2.0), (0.0, 5.0, 0.0)])
     @pytest.mark.parametrize("seed", range(5))
@@ -132,8 +125,6 @@ class TestJitAgreement:
                 tasks, platform, horizon_end=rel_end
             )
         )
-        assert_close(out["scalar"].predicted_energy, out["jit"].predicted_energy)
-        assert_close(out["scalar"].delta, out["jit"].delta)
         # The fused small-n solve is a statement-for-statement transcription
         # of the numpy fast path: identical floats, not merely 1e-9-close.
         assert out["jit"].predicted_energy == out["numpy"].predicted_energy
@@ -144,7 +135,6 @@ class TestJitAgreement:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_kernel_fused_solve_bit_identical_to_python_fused(self, seed):
-        pytest.importorskip("numpy")
         rng = random.Random(5000 + seed)
         tasks = random_common_release_tasks(rng, rng.randint(1, 6))
         platform = make_platform(0.05, xi=5.0, xi_m=2.0)
@@ -160,90 +150,113 @@ class TestJitAgreement:
 
     def test_warm_up_reports_provider(self):
         assert kernels.warm_up() == kernels.provider_name()
-        assert kernels.provider_name() in ("numba", "cffi")
+        assert kernels.provider_name() == "cffi"
 
     def test_available_backends_lists_jit(self):
-        assert "jit" in vectorized.available_backends()
+        """Kernels that load make ``jit`` the engine this host runs."""
+        assert engines() == ["numpy", "jit"]
+        assert vectorized.get_backend() == "jit"
+
+
+class FailingProvider:
+    """Builds fine, but disagrees with the Python references."""
+
+    name = "cffi"
+
+    def overhead_solve_small(self, sig, latest_deadline, params, rel_end):
+        return (0.0, (), (), None)
 
 
 class TestJitFallback:
-    """Degradation when no compiled provider imports (faked ImportError)."""
+    """Demotion when the kernels build but fail their self-check."""
 
     @pytest.fixture()
     def broken_jit(self, monkeypatch):
-        """Make both provider imports raise ImportError, reset warn latch."""
+        """Make the provider fail its self-check; reset the warn latch."""
+        from repro.core.kernels import _cffi_provider
+
         kernels.clear()
-        real_import = builtins.__import__
-
-        def failing_import(name, *args, **kwargs):
-            if name.startswith("repro.core.kernels._"):
-                raise ImportError(f"No module named {name!r} (faked)")
-            return real_import(name, *args, **kwargs)
-
-        monkeypatch.setattr(builtins, "__import__", failing_import)
-        monkeypatch.setattr(vectorized, "_jit_fallback_warned", False)
+        monkeypatch.setattr(_cffi_provider, "build", FailingProvider)
+        monkeypatch.setattr(kernels, "_demotion_warned", False)
         yield
-        monkeypatch.setattr(builtins, "__import__", real_import)
+        monkeypatch.undo()
         kernels.clear()  # forget the failed resolution for later tests
+        blocks.block_energy_cache_clear()
 
     def test_fallback_warns_once_and_never_crashes(self, broken_jit):
-        assert not kernels.available()
-        assert "faked" in (kernels.load_error() or "")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            vectorized.set_backend("jit")
             resolved = vectorized.get_backend()
-            # Re-requesting must not warn again (one warning per process).
-            vectorized.set_backend("jit")
-        expected = "numpy" if vectorized.HAS_NUMPY else "scalar"
-        assert resolved == expected
+            assert not kernels.available()
+            # Re-resolving must not warn again (one warning per process).
+            kernels.clear()
+            assert vectorized.get_backend() == "numpy"
+        assert resolved == "numpy"
+        assert "overhead_solve_small mismatch" in (kernels.load_error() or "")
         jit_warnings = [
             w for w in caught
             if issubclass(w.category, kernels.JitUnavailableWarning)
         ]
         assert len(jit_warnings) == 1
-        assert "falling back" in str(jit_warnings[0].message)
+        assert "numpy engine serves instead" in str(jit_warnings[0].message)
 
     def test_fallback_backend_still_solves(self, broken_jit):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            vectorized.set_backend("jit")
-        tasks = TaskSet([Task(0.0, 50.0, 3000.0), Task(0.0, 80.0, 4000.0)])
-        solution = solve_common_release_with_overhead(
-            tasks, make_platform(0.05, xi=5.0), horizon_end=120.0
-        )
+            tasks = TaskSet([Task(0.0, 50.0, 3000.0), Task(0.0, 80.0, 4000.0)])
+            solution = solve_common_release_with_overhead(
+                tasks, make_platform(0.05, xi=5.0), horizon_end=120.0
+            )
+        assert vectorized.get_backend() == "numpy"
         assert solution.predicted_energy > 0.0
 
     def test_jit_absent_from_available_backends(self, broken_jit):
-        assert "jit" not in vectorized.available_backends()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert engines() == ["numpy"]
+        assert vectorized.get_backend() == "numpy"
+
+    def test_unbuildable_kernels_stay_silent(self, monkeypatch):
+        from repro.core.kernels import _cffi_provider
+
+        def no_compiler():
+            raise OSError("no C compiler (faked)")
+
+        kernels.clear()
+        monkeypatch.setattr(_cffi_provider, "build", no_compiler)
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert vectorized.get_backend() == "numpy"
+            assert "faked" in (kernels.load_error() or "")
+            assert not [
+                w for w in caught
+                if issubclass(w.category, kernels.JitUnavailableWarning)
+            ]
+        finally:
+            monkeypatch.undo()
+            kernels.clear()
 
 
 class TestBackendKeyedCache:
-    """ResultCache keys must partition by backend (satellite 3)."""
+    """ResultCache keys must partition by engine."""
 
-    def _key(self, backend):
+    def _key(self):
         from repro.experiments.cache import unit_key
         from repro.models import paper_platform
 
-        vectorized.set_backend(backend)
         return unit_key(paper_platform(), {"kind": "synthetic", "n": 4}, 0, "sdem-on")
 
-    def _backends(self):
-        names = ["scalar"]
-        if vectorized.HAS_NUMPY:
-            names.append("numpy")
-        if kernels.available():
-            names.append("jit")
-        return names
-
     def test_unit_keys_distinct_across_backends(self):
-        keys = {b: self._key(b) for b in self._backends()}
-        assert len(set(keys.values())) == len(keys)
+        if not kernels.available():
+            pytest.skip("one engine on this host: the kernels do not load")
+        with engine("numpy"):
+            numpy_key = self._key()
+        assert self._key() != numpy_key
 
     def test_jit_entry_never_served_to_numpy_request(self, tmp_path):
-        pytest.importorskip("numpy")
         if not kernels.available():
-            pytest.skip("no compiled kernel provider loads")
+            pytest.skip("the compiled kernels do not load")
         from repro.experiments.cache import ResultCache
         from repro.models import paper_platform
 
@@ -251,13 +264,12 @@ class TestBackendKeyedCache:
         platform = paper_platform()
         config = {"kind": "synthetic", "n": 4}
 
-        vectorized.set_backend("jit")
         jit_key = cache.unit_key(platform, config, 0, "sdem-on")
         cache.put(jit_key, {"energy": 123.0, "backend": "jit"})
         assert cache.get(jit_key) == {"energy": 123.0, "backend": "jit"}
 
-        vectorized.set_backend("numpy")
-        numpy_key = cache.unit_key(platform, config, 0, "sdem-on")
+        with kernels_disabled():
+            numpy_key = cache.unit_key(platform, config, 0, "sdem-on")
         assert numpy_key != jit_key
         assert cache.get(numpy_key) is None
 
@@ -270,9 +282,9 @@ class TestBackendKeyedCache:
             backend: service_request_key(
                 paper_platform(), tasks_config, "common-release", backend
             )
-            for backend in ("scalar", "numpy", "jit")
+            for backend in ("numpy", "jit")
         }
-        assert len(set(keys.values())) == 3
+        assert len(set(keys.values())) == 2
 
 
 class TestServiceProtocolJit:
@@ -286,13 +298,9 @@ class TestServiceProtocolJit:
     }
 
     def test_protocol_accepts_jit_numeric(self):
+        """A legacy ``numeric`` field is ignored like any unknown field."""
         from repro.service.protocol import request_from_wire
 
         request = request_from_wire({**self.WIRE, "numeric": "jit"})
-        assert request.numeric == "jit"
-
-    def test_protocol_rejects_unknown_numeric(self):
-        from repro.service.protocol import ProtocolError, request_from_wire
-
-        with pytest.raises(ProtocolError, match="jit"):
-            request_from_wire({**self.WIRE, "numeric": "cuda"})
+        assert not hasattr(request, "numeric")
+        assert request.tasks_config() == request_from_wire(self.WIRE).tasks_config()

@@ -1,4 +1,4 @@
-"""``[tool.repro-lint]`` configuration: loader + BCK001/BCK002 rescoping.
+"""``[tool.repro-lint]`` configuration: loader + BCK002/BCK004 rescoping.
 
 The true-positive/false-positive pair required by the config feature:
 with a custom sanctioned list the rules must fire where the default list
@@ -55,7 +55,7 @@ class TestRuleRescoping:
         assert "repro.myext.fast" in findings[0].message
 
     def test_false_positive_guard_new_sanctioned_module_quiet(self, tmp_path):
-        """No BCK001/BCK002 for a guarded import in the configured module."""
+        """No BCK002 for a numpy import in the configured module."""
         findings = run_lint(
             str(tmp_path),
             {
@@ -65,18 +65,6 @@ class TestRuleRescoping:
             rules=["backend"],
         )
         assert findings == []
-
-    def test_bck001_guard_requirement_follows_config(self, tmp_path):
-        """An *unguarded* import in the configured module still gets BCK001."""
-        findings = run_lint(
-            str(tmp_path),
-            {
-                "pyproject.toml": CUSTOM_PYPROJECT,
-                "src/repro/myext/fast.py": "import numpy as np\n",
-            },
-            rules=["backend"],
-        )
-        assert rule_ids(findings) == ["BCK001"]
 
     def test_jit_rescoping_true_positive_and_false_positive(self, tmp_path):
         """BCK004 follows sanctioned-jit-modules: fires where the default
@@ -90,7 +78,7 @@ class TestRuleRescoping:
             {
                 "pyproject.toml": pyproject,
                 "src/repro/core/kernels/__init__.py": "import cffi\n",
-                "src/repro/myext/compiled/fast.py": "import numba\n",
+                "src/repro/myext/compiled/fast.py": "import cffi\n",
             },
             rules=["BCK004"],
         )

@@ -234,19 +234,6 @@ class TestUnitTagCoverageUNT002:
         )
         assert findings == []
 
-    def test_raw_backend_env_read_flagged(self, tmp_path):
-        source = """
-            import os
-
-            def sneaky_backend():
-                return os.environ.get("REPRO_NUMERIC", "scalar")
-        """
-        findings = run_lint(
-            str(tmp_path), {"src/repro/core/fptas.py": source}, rules=["UNT002"]
-        )
-        assert rule_ids(findings) == ["UNT002"]
-        assert "REPRO_NUMERIC" in findings[0].message
-
     def test_other_env_reads_quiet(self, tmp_path):
         source = """
             import os

@@ -1,10 +1,11 @@
-"""Scalar-vs-numpy agreement for the vectorized numeric core.
+"""Engine-vs-scalar-reference agreement for the numeric core.
 
-The scalar solvers are the paper-fidelity reference; the numpy backend
-(:mod:`repro.core.vectorized`) must reproduce them to 1e-9 relative on
-randomized task sets -- energies, chosen sleep lengths, and per-task
-speeds alike.  Every test here is skipped wholesale when numpy is not
-importable (the scalar-only CI leg).
+The scalar routines are the paper-fidelity reference; every engine this
+host runs (numpy always, the compiled kernels when they load) must
+reproduce them to 1e-9 relative on randomized task sets -- energies,
+chosen sleep lengths, and per-task speeds alike.  The kernel-less engine
+is reached by patching :mod:`repro.core.kernels` (see
+``tests/engine_helpers.py``), never through an option.
 """
 
 from __future__ import annotations
@@ -13,25 +14,18 @@ import random
 
 import pytest
 
-from repro.core import vectorized
+from repro.core import blocks, common_release, kernels, vectorized
 from repro.core.agreeable import solve_agreeable
-from repro.core.blocks import block_energy, block_energy_cache_clear, solve_block
+from repro.core.blocks import block_energy, solve_block
 from repro.core.common_release import solve_common_release
-from repro.core.transition import solve_common_release_with_overhead
-from repro.models import CorePowerModel, MemoryModel, Platform, Task, TaskSet
-
-pytestmark = pytest.mark.skipif(
-    not vectorized.HAS_NUMPY, reason="numpy backend unavailable"
+from repro.core.transition import (
+    overhead_energy_at_delta,
+    solve_common_release_with_overhead,
 )
+from repro.models import CorePowerModel, MemoryModel, Platform, Task, TaskSet
+from tests.engine_helpers import engine, engines, kernels_disabled, per_engine
 
 REL_TOL = 1e-9
-
-
-@pytest.fixture(autouse=True)
-def _reset_backend():
-    """Leave the process on auto selection no matter how a test exits."""
-    yield
-    vectorized.set_backend(None)
 
 
 def make_platform(
@@ -69,15 +63,25 @@ def random_common_release_tasks(rng: random.Random, n: int) -> TaskSet:
     )
 
 
-def per_backend(solve):
-    """Evaluate ``solve()`` under each backend with cold memo caches."""
-    results = {}
-    for backend in ("scalar", "numpy"):
-        vectorized.set_backend(backend)
-        block_energy_cache_clear()
-        vectorized.block_arrays_cache_clear()
-        results[backend] = solve()
-    return results["scalar"], results["numpy"]
+def reference_block(ts: TaskSet, platform: Platform, method: str):
+    """``(start, end, energy)`` of the scalar reference block solve."""
+    if method == "descent":
+        x_bounds, y_bounds, starts = blocks._descent_box(ts)
+        start, end, _ = blocks._minimize_2d(
+            lambda s, e: blocks._block_energy_scalar(ts, platform, s, e),
+            x_bounds,
+            y_bounds,
+            starts,
+        )
+    else:
+        cell = (
+            blocks._solve_cell_alpha_zero
+            if platform.core.alpha == 0.0
+            else blocks._solve_cell_alpha_nonzero
+        )
+        with kernels_disabled():
+            start, end, _ = blocks._best_over_cells(ts, platform, cell)
+    return start, end, blocks._block_energy_scalar(ts, platform, start, end)
 
 
 def assert_close(scalar: float, numpy: float) -> None:
@@ -98,10 +102,10 @@ class TestBlockEnergyAgreement:
             for f, g in [(0.0, 0.0), (0.5, 0.5), (1.0, 0.2), (0.2, 1.0)]
         ]
         for start, end in probes:
-            s_val, n_val = per_backend(
-                lambda: block_energy(ts, platform, start, end)
-            )
-            assert_close(s_val, n_val)
+            reference = blocks._block_energy_scalar(ts, platform, start, end)
+            out = per_engine(lambda: block_energy(ts, platform, start, end))
+            for value in out.values():
+                assert_close(reference, value)
 
 
 class TestSolveBlockAgreement:
@@ -112,17 +116,18 @@ class TestSolveBlockAgreement:
         rng = random.Random(2000 + seed)
         platform = make_platform(alpha)
         ts = random_agreeable_tasks(rng, rng.randint(1, 7))
-        s_sol, n_sol = per_backend(
+        _, _, reference = reference_block(ts, platform, method)
+        for solution in per_engine(
             lambda: solve_block(ts, platform, method=method)
-        )
-        # The optimum value must agree; the argmin may differ on a flat
-        # stretch of the objective, so cross-check numpy's chosen busy
-        # interval by re-pricing it with the scalar reference instead.
-        assert_close(s_sol.energy, n_sol.energy)
-        vectorized.set_backend("scalar")
-        block_energy_cache_clear()
-        repriced = block_energy(ts, platform, n_sol.start, n_sol.end)
-        assert repriced == pytest.approx(n_sol.energy, rel=1e-6)
+        ).values():
+            # The optimum value must agree; the argmin may differ on a flat
+            # stretch of the objective, so cross-check each engine's chosen
+            # busy interval by re-pricing it with the scalar reference.
+            assert_close(reference, solution.energy)
+            repriced = blocks._block_energy_scalar(
+                ts, platform, solution.start, solution.end
+            )
+            assert repriced == pytest.approx(solution.energy, rel=1e-6)
 
 
 class TestCommonReleaseAgreement:
@@ -132,18 +137,29 @@ class TestCommonReleaseAgreement:
         rng = random.Random(3000 + seed)
         platform = make_platform(alpha)
         ts = random_common_release_tasks(rng, rng.randint(1, 9))
-        s_sol, n_sol = per_backend(lambda: solve_common_release(ts, platform))
-        assert_close(s_sol.predicted_energy, n_sol.predicted_energy)
-        assert n_sol.delta == pytest.approx(s_sol.delta, rel=1e-6, abs=1e-6)
-        for name, speed in s_sol.speeds.items():
-            assert n_sol.speeds[name] == pytest.approx(speed, rel=REL_TOL)
+        if alpha == 0.0:
+            # The binary case search is the scalar walk over the same cases.
+            reference = solve_common_release(ts, platform, method="binary")
+        else:
+            reference = common_release._solve_alpha_nonzero_scalar(
+                ts, platform, ts[0].release
+            )
+        for solution in per_engine(
+            lambda: solve_common_release(ts, platform)
+        ).values():
+            assert_close(reference.predicted_energy, solution.predicted_energy)
+            assert solution.delta == pytest.approx(
+                reference.delta, rel=1e-6, abs=1e-6
+            )
+            for name, speed in reference.speeds.items():
+                assert solution.speeds[name] == pytest.approx(speed, rel=REL_TOL)
 
     @pytest.mark.parametrize(
         "alpha,xi,xi_m",
         [(0.0, 0.0, 12.0), (0.2, 0.7, 12.0), (310.0, 0.0, 40.0)],
     )
     @pytest.mark.parametrize("seed", range(4))
-    def test_solve_with_overhead_random(self, alpha, xi, xi_m, seed):
+    def test_solve_with_overhead_random(self, alpha, xi, xi_m, seed, monkeypatch):
         rng = random.Random(4000 + seed)
         s_up = 1900.0 if alpha > 1.0 else 1000.0
         platform = make_platform(
@@ -152,12 +168,22 @@ class TestCommonReleaseAgreement:
         ts = random_common_release_tasks(rng, rng.randint(1, 9))
         if not ts.is_feasible_at(platform.core.s_up):
             pytest.skip("draw infeasible at s_up")
-        s_sol, n_sol = per_backend(
-            lambda: solve_common_release_with_overhead(ts, platform)
+        solve = lambda: solve_common_release_with_overhead(ts, platform)  # noqa: E731
+        # The prefix-scan path (forced at any n) against the fused small-n
+        # solve of each engine.
+        with kernels_disabled(), monkeypatch.context() as patch:
+            patch.setattr(vectorized, "_SMALL_N", 0)
+            scan = solve()
+        # The emitted sleep length must price, under the scalar per-task
+        # reference, to exactly the energy the scan predicted.
+        assert_close(
+            overhead_energy_at_delta(ts, platform, scan.delta),
+            scan.predicted_energy,
         )
-        assert_close(s_sol.predicted_energy, n_sol.predicted_energy)
-        for name, speed in s_sol.speeds.items():
-            assert n_sol.speeds[name] == pytest.approx(speed, rel=REL_TOL)
+        for solution in per_engine(solve).values():
+            assert_close(scan.predicted_energy, solution.predicted_energy)
+            for name, speed in scan.speeds.items():
+                assert solution.speeds[name] == pytest.approx(speed, rel=REL_TOL)
 
 
 class TestAgreeableDpAgreement:
@@ -167,39 +193,29 @@ class TestAgreeableDpAgreement:
         rng = random.Random(5000 + seed)
         platform = make_platform(alpha)
         ts = random_agreeable_tasks(rng, rng.randint(2, 7))
-        s_sol, n_sol = per_backend(lambda: solve_agreeable(ts, platform))
-        assert_close(s_sol.predicted_energy, n_sol.predicted_energy)
-        assert n_sol.num_blocks == s_sol.num_blocks
+        out = per_engine(lambda: solve_agreeable(ts, platform))
+        first = out[engines()[0]]
+        for solution in out.values():
+            assert_close(first.predicted_energy, solution.predicted_energy)
+            assert solution.num_blocks == first.num_blocks
+            # Every chosen block re-prices under the scalar reference.
+            repriced = sum(
+                blocks._block_energy_scalar(b.tasks, platform, b.start, b.end)
+                for b in solution.blocks
+            )
+            assert_close(repriced, solution.predicted_energy)
 
 
 class TestBackendSelection:
-    def test_env_var_selects_backend(self, monkeypatch):
-        monkeypatch.setenv(vectorized.BACKEND_ENV, "scalar")
-        vectorized.set_backend(None)
-        assert vectorized.get_backend() == "scalar"
-        monkeypatch.setenv(vectorized.BACKEND_ENV, "numpy")
-        assert vectorized.get_backend() == "numpy"
-
-    def test_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv(vectorized.BACKEND_ENV, "scalar")
-        vectorized.set_backend("numpy")
-        assert vectorized.use_numpy()
-        assert vectorized.get_backend_override() == "numpy"
-        vectorized.set_backend(None)
-        assert vectorized.get_backend() == "scalar"
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown numeric backend"):
-            vectorized.set_backend("cupy")
-
     def test_cache_key_depends_on_backend(self):
         from repro.experiments.cache import unit_key
         from repro.models import paper_platform
 
+        if not kernels.available():
+            pytest.skip("one engine on this host: the kernels do not load")
         platform = paper_platform()
         config = {"kind": "synthetic", "n": 4}
-        vectorized.set_backend("scalar")
-        scalar_key = unit_key(platform, config, 0, "sdem-on")
-        vectorized.set_backend("numpy")
-        numpy_key = unit_key(platform, config, 0, "sdem-on")
-        assert scalar_key != numpy_key
+        with engine("numpy"):
+            numpy_key = unit_key(platform, config, 0, "sdem-on")
+        jit_key = unit_key(platform, config, 0, "sdem-on")
+        assert numpy_key != jit_key

@@ -1,4 +1,4 @@
-"""Batcher tests: coalescing, backend pinning, cache reuse, error isolation."""
+"""Batcher tests: coalescing, engine provenance, cache reuse, error isolation."""
 
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from repro.service.protocol import SolveRequest, canonical_result_bytes
 from repro.service.queue import QueueEntry
 
 
-def make_entry(request_id, *, tasks=None, platform=None, numeric=None, scheme="auto"):
+def make_entry(request_id, *, tasks=None, platform=None, scheme="auto"):
     tasks = tasks if tasks is not None else TaskSet(
         [Task(0.0, 40.0, 8000.0, "a"), Task(0.0, 70.0, 15000.0, "b")]
     )
@@ -25,7 +25,6 @@ def make_entry(request_id, *, tasks=None, platform=None, numeric=None, scheme="a
         tasks=tasks,
         platform=platform if platform is not None else paper_platform(),
         scheme=scheme,
-        numeric=numeric,
     )
     return QueueEntry(request=request, enqueued_at=time.monotonic())
 
@@ -50,15 +49,16 @@ class TestFormBatches:
         batches = form_batches(entries, max_batch=8)
         assert [[e.request.id for e in b] for b in batches] == [["0", "2"], ["1"]]
 
-    def test_different_backends_split(self):
-        entries = [
-            make_entry(0, numeric="scalar"),
-            make_entry(1, numeric="numpy"),
-            make_entry(2, numeric="scalar"),
+    def test_legacy_numeric_field_does_not_split(self):
+        wire = {
+            "id": "w",
+            "tasks": [{"name": "a", "release": 0.0, "deadline": 40.0, "workload": 8000.0}],
+        }
+        requests = [
+            protocol.request_from_wire({**wire, "numeric": numeric})
+            for numeric in ("scalar", "numpy", "jit")
         ]
-        assert batch_key(entries[0].request) != batch_key(entries[1].request)
-        batches = form_batches(entries, max_batch=8)
-        assert [[e.request.id for e in b] for b in batches] == [["0", "2"], ["1"]]
+        assert len({batch_key(request) for request in requests}) == 1
 
     def test_oversized_group_splits_within_bound(self):
         entries = [make_entry(i) for i in range(10)]
@@ -97,8 +97,8 @@ class TestRunBatch:
         platform = paper_platform()
         config = [[0.0, 40.0, 8000.0, "a"]]
         keys = {
-            service_request_key(platform, config, "common-release", "scalar"),
-            service_request_key(platform, config, "agreeable", "scalar"),
+            service_request_key(platform, config, "common-release", "jit"),
+            service_request_key(platform, config, "agreeable", "jit"),
             service_request_key(platform, config, "common-release", "numpy"),
         }
         assert len(keys) == 3
@@ -136,20 +136,10 @@ class TestRunBatch:
             direct
         )
 
-    @pytest.mark.skipif(not vectorized.HAS_NUMPY, reason="needs numpy")
-    def test_backend_pinned_and_restored(self, batcher):
-        before = vectorized.get_backend()
-        pinned = "numpy" if before == "scalar" else "scalar"
-        [(_, response)] = batcher.run_batch([make_entry("x", numeric=pinned)])
-        assert response["provenance"]["backend"] == pinned
-        assert vectorized.get_backend() == before
-
-    def test_numpy_unavailable_rejected_cleanly(self, batcher, monkeypatch):
-        monkeypatch.setattr(vectorized, "HAS_NUMPY", False)
-        [(_, response)] = batcher.run_batch([make_entry("x", numeric="numpy")])
-        assert response["ok"] is False
-        assert response["error"]["code"] == protocol.E_BAD_REQUEST
-        assert "numpy" in response["error"]["message"]
+    def test_provenance_reports_the_engine(self, batcher):
+        [(_, response)] = batcher.run_batch([make_entry("x")])
+        assert response["provenance"]["backend"] == vectorized.get_backend()
+        assert response["provenance"]["backend"] in ("jit", "numpy")
 
     def test_metrics_recorded(self, batcher):
         batcher.run_batch([make_entry(i) for i in range(2)])

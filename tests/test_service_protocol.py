@@ -6,7 +6,6 @@ import json
 
 import pytest
 
-from repro.core import vectorized
 from repro.models import paper_platform
 from repro.serialization import SCHEMA_VERSION
 from repro.service.protocol import (
@@ -27,6 +26,7 @@ from repro.service.protocol import (
     request_from_wire,
     resolve_scheme,
 )
+from tests.engine_helpers import per_engine
 
 
 COMMON_RELEASE_TASKS = [
@@ -89,9 +89,13 @@ class TestRequestParsing:
         with pytest.raises(ProtocolError, match="lane"):
             request_from_wire(wire_solve(lane="fast"))
 
-    def test_bad_numeric_rejected(self):
-        with pytest.raises(ProtocolError, match="numeric"):
-            request_from_wire(wire_solve(numeric="fortran"))
+    def test_legacy_numeric_field_ignored(self):
+        """``numeric`` no longer selects anything: any value is accepted
+        and answered with the same canonical bytes as no value at all."""
+        plain = canonical_result_bytes(execute_request(request_from_wire(wire_solve())))
+        for numeric in ("scalar", "numpy", "jit", "fortran"):
+            request = request_from_wire(wire_solve(numeric=numeric))
+            assert canonical_result_bytes(execute_request(request)) == plain
 
     def test_nonpositive_timeout_rejected(self):
         with pytest.raises(ProtocolError, match="timeout_ms"):
@@ -178,20 +182,13 @@ class TestExecution:
         breakdown = energy_from_wire(result["energy"])
         assert breakdown.total == pytest.approx(result["energy"]["total"])
 
-    @pytest.mark.skipif(not vectorized.HAS_NUMPY, reason="needs numpy")
     def test_backends_agree_on_energy(self):
         request = request_from_wire(wire_solve())
-        previous = vectorized.get_backend_override()
-        try:
-            vectorized.set_backend("scalar")
-            scalar = execute_request(request)
-            vectorized.set_backend("numpy")
-            numpy = execute_request(request)
-        finally:
-            vectorized.set_backend(previous)
-        assert scalar["energy"]["total"] == pytest.approx(
-            numpy["energy"]["total"], rel=1e-9
-        )
+        totals = [
+            result["energy"]["total"]
+            for result in per_engine(lambda: execute_request(request)).values()
+        ]
+        assert totals == pytest.approx([totals[0]] * len(totals), rel=1e-9)
 
 
 class TestEnvelopes:

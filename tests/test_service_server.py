@@ -57,6 +57,50 @@ class TestHandleMessage:
         assert "repro_requests_total" in response["result"]["text"]
         assert "repro_queue_depth" in response["result"]["snapshot"]
 
+    def test_metrics_export_the_engine(self):
+        from repro.core import vectorized
+
+        async def body(service):
+            return await service.handle_message({"kind": "metrics", "id": "m"})
+
+        text = run(with_service(body))["result"]["text"]
+        engine = vectorized.get_backend()
+        assert f'repro_numeric_engine{{engine="{engine}"}} 1' in text
+
+    def test_metrics_show_a_demoted_engine(self, monkeypatch):
+        """Kernels that fail their self-check: one warning, numpy engine,
+        and the metrics page says so."""
+        import warnings
+
+        from repro.core import blocks, kernels
+        from repro.core.kernels import _cffi_provider
+
+        class FailingProvider:
+            name = "cffi"
+
+            def overhead_solve_small(self, *args):
+                return (0.0, (), (), None)
+
+        async def body(service):
+            return await service.handle_message({"kind": "metrics", "id": "m"})
+
+        kernels.clear()
+        monkeypatch.setattr(_cffi_provider, "build", FailingProvider)
+        monkeypatch.setattr(kernels, "_demotion_warned", False)
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                text = run(with_service(body))["result"]["text"]
+        finally:
+            monkeypatch.undo()
+            kernels.clear()
+            blocks.block_energy_cache_clear()
+        assert 'repro_numeric_engine{engine="numpy"} 1' in text
+        assert 'engine="jit"' not in text
+        assert [
+            w for w in caught if issubclass(w.category, kernels.JitUnavailableWarning)
+        ]
+
     def test_unknown_kind_rejected(self):
         async def body(service):
             return await service.handle_message({"kind": "teleport", "id": "t"})
@@ -75,6 +119,19 @@ class TestHandleMessage:
         assert protocol.canonical_result_bytes(
             response["result"]
         ) == protocol.canonical_result_bytes(direct)
+
+    def test_legacy_numeric_field_answered_byte_identically(self):
+        async def body(service):
+            return [
+                await service.handle_message(solve_wire(f"n{k}", **extra))
+                for k, extra in enumerate([{}, {"numeric": "scalar"}])
+            ]
+
+        plain, legacy = run(with_service(body, batch_window_ms=0.0))
+        assert plain["ok"] is True and legacy["ok"] is True
+        assert protocol.canonical_result_bytes(
+            legacy["result"]
+        ) == protocol.canonical_result_bytes(plain["result"])
 
     def test_malformed_solve_gets_error_envelope(self):
         async def body(service):
@@ -305,3 +362,37 @@ class TestCachePersistence:
         assert protocol.canonical_result_bytes(
             first["result"]
         ) == protocol.canonical_result_bytes(second["result"])
+
+
+class TestSignals:
+    def test_sigterm_right_after_listening_line_drains(self, tmp_path):
+        """The handlers are in place before the listening line is printed,
+        so a SIGTERM sent the moment it appears drains with exit 0."""
+        import os
+        import signal
+        import subprocess
+        import sys
+
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        for attempt in range(3):
+            proc = subprocess.Popen(
+                [sys.executable, "-u", "-m", "repro", "serve", "--port", "0",
+                 "--cache-dir", str(tmp_path / f"cache-{attempt}")],
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                env=env,
+                text=True,
+            )
+            try:
+                line = proc.stdout.readline()
+                assert "listening on" in line
+                proc.send_signal(signal.SIGTERM)
+                out, err = proc.communicate(timeout=30)
+            finally:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.communicate()
+            assert proc.returncode == 0, err
+            assert "drained cleanly" in out

@@ -123,8 +123,8 @@ class TestShardedQueue:
 
 class TestByteIdentity:
     def _expected(self, wires):
-        # expected_result pins each wire's numeric backend around the
-        # direct call, exactly like the service's per-batch resolution.
+        # expected_result is the direct in-process call the served bytes
+        # must match.
         return [
             protocol.canonical_result_bytes(expected_result(dict(w)))
             for w in wires

@@ -76,6 +76,24 @@ class TestSimulate:
             if iv.task == "B":
                 assert iv.start >= 30.0 - 1e-9
 
+    def test_near_simultaneous_releases_not_merged(self, platform):
+        """Releases ~5e-8 ms apart at t = 60 ms are distinct arrivals: no
+        segment may start before its own task's release."""
+        from repro.core.online import SdemOnlinePolicy
+        from repro.sim.engine import prepare_trace
+
+        tasks = [
+            Task(60.0, 90.0, 3000.0, "A"),
+            Task(60.00000005, 95.0, 4000.0, "B"),
+            Task(60.0000001, 100.0, 2000.0, "C"),
+        ]
+        assert len(prepare_trace(tasks).groups) == 3
+        release = {t.name: t.release for t in tasks}
+        for policy in (RaceToIdlePolicy(platform), SdemOnlinePolicy(platform)):
+            result = simulate(policy, tasks, platform)
+            for iv in result.schedule.all_intervals():
+                assert iv.start >= release[iv.task]
+
     def test_peak_concurrency(self, platform):
         tasks = [
             Task(0.0, 50.0, 5000.0, "A"),  # 5 ms at s_up
