@@ -373,7 +373,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 def _cmd_replay(args: argparse.Namespace) -> int:
     import json as json_module
 
-    from repro.replay import ArrivalSpec, find_max_sustainable_rate, run_replay
+    from repro.replay import (
+        ArrivalSpec,
+        find_max_sustainable_rate,
+        format_sustainable_rate,
+        run_replay,
+    )
 
     platform = _platform_from(args)
     if args.mode == "trace":
@@ -405,16 +410,16 @@ def _cmd_replay(args: argparse.Namespace) -> int:
             raise SystemExit(f"--ramp wants comma-separated rates: {exc}")
         if not rates:
             raise SystemExit("--ramp wants at least one rate")
-        best, points = find_max_sustainable_rate(
+        ramp = find_max_sustainable_rate(
             spec,
             platform,
             rates_jobs_s=rates,
             slo_p99_ms=args.slo_p99,
             max_backlog=args.max_backlog,
         )
-        best_text = f"{best:g} jobs/s" if best is not None else "none"
+        best_text = format_sustainable_rate(ramp.best, ramp.censored)
         print(f"max sustainable rate at P99 <= {args.slo_p99:g} ms: {best_text}")
-        for point in points:
+        for point in ramp.points:
             print(
                 f"  {point.rate_jobs_s:>8.1f} jobs/s: "
                 f"wall p99 {point.p99_wall_ms:.3f} ms, shed {point.shed}, "
@@ -424,8 +429,9 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         if args.out:
             payload = {
                 "slo_p99_ms": args.slo_p99,
-                "max_sustainable_rate_jobs_s": best,
-                "ramp": [point.to_wire() for point in points],
+                "max_sustainable_rate_jobs_s": ramp.best,
+                "censored": ramp.censored,
+                "ramp": [point.to_wire() for point in ramp.points],
             }
             with open(args.out, "w", encoding="utf-8") as handle:
                 json_module.dump(payload, handle, indent=2, sort_keys=True)
@@ -493,7 +499,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         batch_window_ms=args.batch_window_ms,
         max_batch=args.max_batch,
         workers=args.workers,
-        shards=args.shards,
         cache=cache,
     )
     if args.stdio:
@@ -517,7 +522,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
                 n=args.n,
                 clients=args.clients,
                 capacity=args.capacity,
-                shards=args.shards,
                 verify=not args.no_verify,
             )
         )
@@ -716,7 +720,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="workload slice: the Fig 6 DSPstone sweep (fft), the Fig 7 "
         "sporadic sweep (synthetic), the exact-vs-fptas crossover "
         "sweep (huge-n), the open-loop replay slice (streaming), or "
-        "the sharded-service scaling slice (service)",
+        "the TCP solve-service slice (service)",
     )
     p_bench.add_argument(
         "--seeds", type=int, default=None, help="seeds per point (default 5; 2 with --quick)"
@@ -855,11 +859,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=1, help="solver worker threads"
     )
     p_serve.add_argument(
-        "--shards", type=int, default=0,
-        help="worker-pool shards (0 = inline batcher tier; N>0 routes by "
-        "platform fingerprint to N pinned worker processes)",
-    )
-    p_serve.add_argument(
         "--no-cache", action="store_true", dest="no_cache",
         help="disable the on-disk result cache",
     )
@@ -895,9 +894,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="demo concurrent client connections")
     p_submit.add_argument("--capacity", type=int, default=512,
                           help="demo local-server queue bound (and audit threshold)")
-    p_submit.add_argument("--shards", type=int, default=0,
-                          help="demo local-server worker-pool shards "
-                          "(0 = inline batcher tier)")
     p_submit.add_argument(
         "--no-verify", action="store_true", dest="no_verify",
         help="demo: skip the byte-identity check against direct solver calls",

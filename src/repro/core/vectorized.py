@@ -54,7 +54,6 @@ __all__ = [
     "BlockArrays",
     "block_arrays",
     "block_arrays_cache_clear",
-    "block_arrays_cache_size",
     "register_subset_arrays",
     "prefetch_block_arrays",
     "block_energy_batch",
@@ -125,11 +124,6 @@ _ARRAYS_CACHE_MAX = 1 << 14
 def block_arrays_cache_clear() -> None:
     """Drop every cached :class:`BlockArrays` (test isolation)."""
     _ARRAYS_CACHE.clear()
-
-
-def block_arrays_cache_size() -> int:
-    """Task sets currently memoized (shard workers flush this at drain)."""
-    return len(_ARRAYS_CACHE)
 
 
 def _freeze(arr: "np.ndarray") -> "np.ndarray":

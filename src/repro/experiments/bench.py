@@ -99,18 +99,16 @@ STREAMING_RAMP_RATES: List[float] = [100.0, 200.0, 400.0, 800.0, 1600.0]
 STREAMING_RAMP_N = 4000
 STREAMING_SLO_P99_MS = 50.0
 
-#: Service slice: worker (shard) counts the scaling table compares.
-SERVICE_WORKER_COUNTS: List[int] = [1, 2, 4]
-QUICK_SERVICE_WORKER_COUNTS: List[int] = [1, 2]
+#: Service slice: jobs per pass.
 SERVICE_N_JOBS = 240
 QUICK_SERVICE_N_JOBS = 60
 #: Offered rate: high enough that the server, not the arrival spacing,
 #: is the bottleneck on the cold pass (n jobs span ~n/rate seconds).
 SERVICE_RATE_JOBS_S = 2000.0
 SERVICE_SEED = 7
-#: Platform-parameter rotation: the shard tier routes by platform
-#: fingerprint, so a single-platform stream would exercise exactly one
-#: shard.  Eight distinct memory-power points spread the ring.
+#: Platform-parameter rotation: the batcher groups by platform
+#: fingerprint, so eight distinct memory-power points make the stream
+#: form several batch groups and cache-key families instead of one.
 SERVICE_PLATFORM_CYCLE: List[Dict[str, float]] = [
     {"alpha_m": 1200.0 + 200.0 * index} for index in range(8)
 ]
@@ -574,7 +572,7 @@ def run_bench_streaming(
     }
     if not quick:
         rates = ramp_rates if ramp_rates is not None else STREAMING_RAMP_RATES
-        best, ramp_points = find_max_sustainable_rate(
+        ramp = find_max_sustainable_rate(
             ArrivalSpec(mode=mode, n=STREAMING_RAMP_N, seed=seed),
             platform,
             rates_jobs_s=rates,
@@ -583,14 +581,17 @@ def run_bench_streaming(
         )
         report["slo"] = {
             "slo_p99_ms": slo_p99_ms,
-            "max_sustainable_rate_jobs_s": best,
-            "ramp": [point.to_wire() for point in ramp_points],
+            "max_sustainable_rate_jobs_s": ramp.best,
+            "censored": ramp.censored,
+            "ramp": [point.to_wire() for point in ramp.points],
         }
     return report
 
 
 def render_bench_streaming_table(report: Dict[str, object]) -> str:
     """Human-readable latency/energy table for one streaming report."""
+    from repro.replay import format_sustainable_rate
+
     sl = report["slice"]
     lines = [
         f"bench slice: streaming mode={sl['mode']} seed={sl['seed']} "
@@ -621,8 +622,9 @@ def render_bench_streaming_table(report: Dict[str, object]) -> str:
     )
     slo = report.get("slo")
     if slo is not None:
-        best = slo["max_sustainable_rate_jobs_s"]
-        best_text = f"{best:g} jobs/s" if best is not None else "none"
+        best_text = format_sustainable_rate(
+            slo["max_sustainable_rate_jobs_s"], bool(slo.get("censored"))
+        )
         lines.append(
             f"max sustainable rate at P99 <= {slo['slo_p99_ms']:g} ms: "
             f"{best_text} (measured, machine-dependent)"
@@ -648,30 +650,24 @@ def _latency_percentile(values: List[float], p: float) -> Optional[float]:
 
 def run_bench_service(
     *,
-    worker_counts: Optional[List[int]] = None,
     n: Optional[int] = None,
     rate_jobs_s: float = SERVICE_RATE_JOBS_S,
     seed: int = SERVICE_SEED,
     clients: int = 4,
     quick: bool = False,
 ) -> Dict[str, object]:
-    """The service slice: open-loop replay against sharded worker pools.
+    """The service slice: open-loop replay against ``repro serve`` over TCP.
 
-    For each worker count W a fresh :class:`repro.service.SolveService`
-    with ``shards=W`` (its own worker processes, its own empty result
-    cache) is driven twice by the replay harness's open-loop generator --
-    the same seeded Poisson stream every time, platform-cycled so the
-    consistent-hash ring spreads load across all W shards.  The first
-    pass is all cache misses (solve throughput), the repeat is all hits
-    (service-overhead throughput); both record throughput and wall P50 /
-    P99.
+    One fresh :class:`repro.service.SolveService` with its own empty
+    result cache is driven twice by the replay harness's open-loop
+    generator over the same seeded, platform-cycled Poisson stream.  The
+    first pass is all cache misses (solve throughput), the repeat is all
+    hits (service-overhead throughput); both record throughput and wall
+    P50 / P99.
 
-    ``modes.serial_cold`` / ``modes.warm_cache`` carry the one-worker
+    ``modes.serial_cold`` / ``modes.warm_cache`` carry the two pass
     walls, making the report gateable by :func:`check_serial_regression`
-    exactly like the engine slices.  On a single-core host the scaling
-    ratios are pool overhead, not parallelism, so
-    ``speedup.parallel_vs_serial`` is ``null`` with an annotation -- the
-    same convention the fig6/synthetic trajectory entries use.
+    exactly like the engine slices.
     """
     import asyncio
     import tempfile
@@ -680,21 +676,15 @@ def run_bench_service(
     from repro.replay.sinks import replay_service
     from repro.service.server import SolveService
 
-    if worker_counts is None:
-        worker_counts = (
-            QUICK_SERVICE_WORKER_COUNTS if quick else SERVICE_WORKER_COUNTS
-        )
     if n is None:
         n = QUICK_SERVICE_N_JOBS if quick else SERVICE_N_JOBS
-    if any(count < 1 for count in worker_counts):
-        raise ValueError(f"worker counts must be >= 1, got {worker_counts}")
     spec = ArrivalSpec(mode="poisson", n=n, rate_jobs_s=rate_jobs_s, seed=seed)
     jobs = list(spec.jobs())
     capacity = max(64, 2 * n)  # never shed: throughput, not admission, is measured
 
-    async def drive(shards: int) -> Dict[str, object]:
+    async def drive() -> Dict[str, object]:
         cache = ResultCache(tempfile.mkdtemp(prefix="repro-bench-service-"))
-        service = SolveService(capacity=capacity, shards=shards, cache=cache)
+        service = SolveService(capacity=capacity, cache=cache)
         server = await service.serve_tcp("127.0.0.1", 0)
         host, port = server.sockets[0].getsockname()[:2]
         try:
@@ -731,22 +721,10 @@ def run_bench_service(
             await service.drain()
         return passes
 
-    points: List[Dict[str, object]] = []
-    for count in worker_counts:
-        passes = asyncio.run(drive(count))
-        points.append({"shards": count, **passes})
-
-    cpu_count = os.cpu_count()
-    pool_meaningless = (cpu_count or 1) <= 1 or max(worker_counts) <= 1
-    baseline = points[0]
-    base_cold = baseline["cold"]["throughput_jobs_s"]
-    best_cold = max(
-        (p["cold"]["throughput_jobs_s"] or 0.0) for p in points[1:]
-    ) if len(points) > 1 else None
-    report: Dict[str, object] = {
+    passes = asyncio.run(drive())
+    return {
         "slice": {
             "name": "service",
-            "worker_counts": [int(count) for count in worker_counts],
             "n": n,
             "rate_jobs_s": rate_jobs_s,
             "seed": seed,
@@ -754,56 +732,36 @@ def run_bench_service(
             "platforms": len(SERVICE_PLATFORM_CYCLE),
         },
         "backend": vectorized.get_backend(),
-        "cpu_count": cpu_count,
-        "points": points,
-        "speedup": {
-            "parallel_vs_serial": round(best_cold / base_cold, 3)
-            if best_cold and base_cold and not pool_meaningless
-            else None,
-        },
+        "cpu_count": os.cpu_count(),
+        "passes": passes,
         "modes": {
-            "serial_cold": {"seconds": baseline["cold"]["wall_s"]},
-            "warm_cache": {"seconds": baseline["warm"]["wall_s"]},
+            "serial_cold": {"seconds": passes["cold"]["wall_s"]},
+            "warm_cache": {"seconds": passes["warm"]["wall_s"]},
         },
     }
-    if pool_meaningless:
-        report["speedup"]["annotation"] = (
-            "single worker/core: multi-shard rows measure worker-pool "
-            "overhead, not a parallelism measurement"
-        )
-    return report
 
 
 def render_bench_service_table(report: Dict[str, object]) -> str:
-    """Human-readable worker-scaling table for one service report."""
+    """Human-readable cold/warm table for one service report."""
     sl = report["slice"]
     lines = [
         f"bench slice: service n={sl['n']} rate={sl['rate_jobs_s']:g} j/s "
         f"seed={sl['seed']} clients={sl['clients']} "
         f"platforms={sl['platforms']} (backend {report['backend']}, "
         f"{report['cpu_count']} core(s))",
-        f"{'shards':>6s} {'pass':>5s} {'wall s':>8s} {'thr j/s':>9s} "
+        f"{'pass':>5s} {'wall s':>8s} {'thr j/s':>9s} "
         f"{'p50 ms':>8s} {'p99 ms':>8s} {'done':>5s} {'shed':>5s} {'err':>4s}",
     ]
-    for point in report["points"]:
-        for label in ("cold", "warm"):
-            row = point[label]
-            lines.append(
-                f"{point['shards']:>6d} {label:>5s} "
-                f"{row['wall_s']:>8.3f} "
-                f"{row['throughput_jobs_s'] or float('nan'):>9.1f} "
-                f"{row['p50_ms'] or float('nan'):>8.2f} "
-                f"{row['p99_ms'] or float('nan'):>8.2f} "
-                f"{row['done']:>5d} {row['shed']:>5d} {row['errors']:>4d}"
-            )
-    speed = report["speedup"]
-    ratio = speed.get("parallel_vs_serial")
-    lines.append(
-        "best multi-shard vs 1-shard cold throughput: "
-        + (f"{ratio:g}x" if ratio is not None else "null")
-    )
-    if "annotation" in speed:
-        lines.append(f"note: {speed['annotation']}")
+    for label in ("cold", "warm"):
+        row = report["passes"][label]
+        lines.append(
+            f"{label:>5s} "
+            f"{row['wall_s']:>8.3f} "
+            f"{row['throughput_jobs_s'] or float('nan'):>9.1f} "
+            f"{row['p50_ms'] or float('nan'):>8.2f} "
+            f"{row['p99_ms'] or float('nan'):>8.2f} "
+            f"{row['done']:>5d} {row['shed']:>5d} {row['errors']:>4d}"
+        )
     return "\n".join(lines)
 
 

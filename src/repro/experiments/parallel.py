@@ -52,7 +52,6 @@ __all__ = [
     "DspstoneTraceSpec",
     "SyntheticTraceSpec",
     "PointSpec",
-    "WorkerProcess",
     "chunk_evenly",
     "pin_worker_state",
     "resolve_workers",
@@ -280,58 +279,6 @@ def _mp_context():
     if "fork" in methods:
         return multiprocessing.get_context("fork")
     return multiprocessing.get_context()
-
-
-class WorkerProcess:
-    """One long-lived solver process with pinned solver state.
-
-    The sweeps above use throwaway pools -- fork, chunk, join.  The
-    sharded solve service needs the opposite lifetime: a worker that
-    survives across micro-batches, so the module-level memo caches
-    (``BlockArrays``, the block-energy memo, compiled jit kernels) warmed
-    by one batch are still hot for the next one routed to the same shard.
-    This wraps a single-process :class:`ProcessPoolExecutor` whose
-    initializer pins the parent's solver tier via :func:`pin_worker_state`
-    (spawn-context workers do not inherit it).
-
-    ``warm=True`` (the default) performs a blocking no-op round-trip at
-    construction so the child process exists -- and, under a fork
-    context, snapshots the parent -- *before* the caller starts an event
-    loop or other threads around it.
-    """
-
-    def __init__(
-        self,
-        *,
-        solver: Optional[Tuple[str, float]] = None,
-        warm: bool = True,
-    ):
-        self.solver = (
-            solver
-            if solver is not None
-            else (get_solver_tier(), get_solver_epsilon())
-        )
-        self._pool = ProcessPoolExecutor(
-            max_workers=1,
-            mp_context=_mp_context(),
-            initializer=pin_worker_state,
-            initargs=(self.solver,),
-        )
-        if warm:
-            # pin_worker_state is idempotent; this round-trip only forces
-            # the fork to happen now.
-            self._pool.submit(pin_worker_state, self.solver).result()
-
-    def submit(self, fn, *args):
-        """Submit ``fn(*args)`` to the worker; returns its Future."""
-        return self._pool.submit(fn, *args)
-
-    def call(self, fn, *args):
-        """Blocking convenience: ``submit`` and wait for the result."""
-        return self._pool.submit(fn, *args).result()
-
-    def shutdown(self, wait: bool = True) -> None:
-        self._pool.shutdown(wait=wait)
 
 
 def run_series(

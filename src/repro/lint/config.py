@@ -40,7 +40,6 @@ __all__ = [
     "ConfigError",
     "DEFAULT_SANCTIONED_JIT_MODULES",
     "DEFAULT_SANCTIONED_NUMPY_MODULES",
-    "DEFAULT_SHARD_STATE_MODULES",
     "DEFAULT_UNIT_TAGGED_MODULES",
     "LintConfig",
     "load_config",
@@ -69,21 +68,11 @@ DEFAULT_UNIT_TAGGED_MODULES: Tuple[str, ...] = (
     "repro.core.fptas",
 )
 
-#: Modules that run inside (or route onto) the sharded worker tier, where
-#: CON005 flags module-level mutable state: each shard is a separate
-#: process, so a module-global dict/list/set silently forks into N
-#: divergent copies.  Prefix-scoped like the jit list.
-DEFAULT_SHARD_STATE_MODULES: Tuple[str, ...] = (
-    "repro.service.shard",
-    "repro.service.ring",
-)
-
 _TABLE_HEADER = "[tool.repro-lint]"
 _KNOWN_KEYS = (
     "sanctioned-numpy-modules",
     "sanctioned-jit-modules",
     "unit-tagged-modules",
-    "shard-state-modules",
 )
 
 _KEY_VALUE = re.compile(r"^([A-Za-z0-9_-]+)\s*=\s*(.*)$", re.DOTALL)
@@ -101,7 +90,6 @@ class LintConfig:
     sanctioned_numpy_modules: Tuple[str, ...] = DEFAULT_SANCTIONED_NUMPY_MODULES
     sanctioned_jit_modules: Tuple[str, ...] = DEFAULT_SANCTIONED_JIT_MODULES
     unit_tagged_modules: Tuple[str, ...] = DEFAULT_UNIT_TAGGED_MODULES
-    shard_state_modules: Tuple[str, ...] = DEFAULT_SHARD_STATE_MODULES
 
 
 def load_config(root: str) -> LintConfig:
@@ -241,7 +229,6 @@ def _validate(table: Dict[str, object], path: str) -> LintConfig:
     numpy_modules = DEFAULT_SANCTIONED_NUMPY_MODULES
     jit_modules = DEFAULT_SANCTIONED_JIT_MODULES
     unit_tagged = DEFAULT_UNIT_TAGGED_MODULES
-    shard_state = DEFAULT_SHARD_STATE_MODULES
     if "sanctioned-numpy-modules" in table:
         numpy_modules = _string_tuple(
             table["sanctioned-numpy-modules"], "sanctioned-numpy-modules", path
@@ -254,15 +241,10 @@ def _validate(table: Dict[str, object], path: str) -> LintConfig:
         unit_tagged = _string_tuple(
             table["unit-tagged-modules"], "unit-tagged-modules", path
         )
-    if "shard-state-modules" in table:
-        shard_state = _string_tuple(
-            table["shard-state-modules"], "shard-state-modules", path
-        )
     return LintConfig(
         sanctioned_numpy_modules=numpy_modules,
         sanctioned_jit_modules=jit_modules,
         unit_tagged_modules=unit_tagged,
-        shard_state_modules=shard_state,
     )
 
 

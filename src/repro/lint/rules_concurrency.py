@@ -14,13 +14,7 @@ race-free:
 * ``CON003`` -- the metrics instruments publish to scraping threads, so
   their underscore state may only be mutated under ``self._lock``;
 * ``CON004`` -- ``except Exception: pass`` swallows tracebacks that the
-  service's error envelope (or at minimum a metric) should carry;
-* ``CON005`` -- the shard-tier modules (PR 10) run one copy per worker
-  *process*, so a module- or class-level mutable container there is not
-  shared state at all: it silently forks into N divergent copies.  The
-  only sanctioned cross-shard channels are the on-disk ``ResultCache``
-  and the parent-side ``MetricsRegistry``; anything else needs an
-  explicit allow-pragma arguing why per-process divergence is fine.
+  service's error envelope (or at minimum a metric) should carry.
 
 Lock identity is syntactic: a ``with`` context expression whose final
 name segment looks lock-ish (``lock``, ``cond``, ``mutex``, ``sem``).
@@ -34,7 +28,6 @@ import ast
 import re
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.lint.config import DEFAULT_SHARD_STATE_MODULES
 from repro.lint.engine import (
     Finding,
     Project,
@@ -48,7 +41,6 @@ __all__ = [
     "LockOrderRule",
     "LockAcrossAwaitRule",
     "MetricsStateLockRule",
-    "ShardSharedStateRule",
     "SwallowedExceptionRule",
     "lock_label",
 ]
@@ -358,98 +350,3 @@ class SwallowedExceptionRule(Rule):
                 if isinstance(node, (ast.Raise, ast.Call, ast.Return, ast.Assign, ast.AugAssign, ast.Yield)):
                     return False
         return True
-
-
-@register
-class ShardSharedStateRule(Rule):
-    id = "CON005"
-    family = "concurrency"
-    description = (
-        "mutable module/class-level container in a shard-tier module: "
-        "each worker process gets its own divergent copy, so it cannot "
-        "carry cross-shard state"
-    )
-    hint = (
-        "route shared state through the on-disk ResultCache or the "
-        "parent-side MetricsRegistry; for deliberate per-process memos "
-        "add '# repro-lint: allow[CON005] <why divergence is fine>'"
-    )
-    #: Rescoped per run from ``[tool.repro-lint] shard-state-modules``.
-    packages = DEFAULT_SHARD_STATE_MODULES
-
-    #: Constructor calls sanctioned at module scope: handles to the two
-    #: legitimate cross-shard channels (disk cache, parent metrics).
-    _SANCTIONED_CALLS = ("ResultCache", "MetricsRegistry", "service_metrics")
-
-    #: Calls that build a mutable container even without a literal.
-    _MUTABLE_CALLS = (
-        "dict", "list", "set", "defaultdict", "deque", "Counter",
-        "OrderedDict",
-    )
-
-    def run(self, project: Project) -> Iterator[Finding]:
-        self.packages = project.config.shard_state_modules
-        yield from super().run(project)
-
-    def check_module(
-        self, module: SourceModule, project: Project
-    ) -> Iterator[Finding]:
-        assert module.tree is not None
-        for node in ast.walk(module.tree):
-            if not isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-                continue
-            if self._inside_function(node):
-                continue
-            value = node.value
-            if value is None or not self._is_mutable_container(value):
-                continue
-            name = self._target_name(node)
-            if name.startswith("__") and name.endswith("__"):
-                # __all__ and friends: write-once interpreter protocol
-                # names, never mutated as shared state.
-                continue
-            scope = _enclosing_class(node)
-            where = f"{module.name}.{scope}" if scope else module.name
-            yield self.finding(
-                module,
-                node,
-                f"{where}.{name} binds a mutable container at "
-                f"{'class' if scope else 'module'} scope; shard workers "
-                "each fork a private copy, so mutations never cross shards",
-            )
-
-    @staticmethod
-    def _inside_function(node: ast.AST) -> bool:
-        for ancestor in parent_chain(node):
-            if isinstance(ancestor, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                return True
-        return False
-
-    @classmethod
-    def _is_mutable_container(cls, value: ast.AST) -> bool:
-        if isinstance(value, (ast.Dict, ast.List, ast.Set)):
-            return True
-        if isinstance(value, (ast.DictComp, ast.ListComp, ast.SetComp)):
-            return True
-        if isinstance(value, ast.Call):
-            callee = value.func
-            name = callee.id if isinstance(callee, ast.Name) else (
-                callee.attr if isinstance(callee, ast.Attribute) else None
-            )
-            if name in cls._SANCTIONED_CALLS:
-                return False
-            return name in cls._MUTABLE_CALLS
-        return False
-
-    @staticmethod
-    def _target_name(node: ast.AST) -> str:
-        if isinstance(node, ast.Assign):
-            targets = node.targets
-        else:
-            targets = [node.target]
-        for target in targets:
-            if isinstance(target, ast.Name):
-                return target.id
-            if isinstance(target, ast.Attribute):
-                return target.attr
-        return "<target>"

@@ -27,8 +27,10 @@ from repro.replay.arrivals import (
 from repro.replay.harness import (
     LatencyStats,
     RampPoint,
+    RampResult,
     ReplayReport,
     find_max_sustainable_rate,
+    format_sustainable_rate,
     open_loop_latency_ms,
     percentile,
     run_replay,
@@ -50,9 +52,11 @@ __all__ = [
     "JobRecord",
     "LatencyStats",
     "RampPoint",
+    "RampResult",
     "ReplayOutcome",
     "ReplayReport",
     "find_max_sustainable_rate",
+    "format_sustainable_rate",
     "mmpp_jobs",
     "offered_rate_jobs_s",
     "open_loop_latency_ms",

@@ -28,7 +28,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 from repro.models.platform import Platform
 from repro.replay.arrivals import ArrivalSpec, offered_rate_jobs_s
@@ -38,9 +38,11 @@ from repro.units import MS, UJ, unit
 __all__ = [
     "LatencyStats",
     "RampPoint",
+    "RampResult",
     "ReplayReport",
     "energy_per_job_uj",
     "find_max_sustainable_rate",
+    "format_sustainable_rate",
     "open_loop_latency_ms",
     "percentile",
     "run_replay",
@@ -388,6 +390,28 @@ class RampPoint:
         }
 
 
+class RampResult(NamedTuple):
+    """Outcome of an SLO ramp; unpacks as ``(best, points)``."""
+
+    best: Optional[float]
+    points: List[RampPoint]
+
+    @property
+    def censored(self) -> bool:
+        """True when the highest offered rate passed: the ramp ran out
+        before the service did, so ``best`` is only a lower bound."""
+        return bool(self.points) and self.points[-1].sustainable
+
+
+def format_sustainable_rate(best: Optional[float], censored: bool) -> str:
+    """``"800 jobs/s"``, ``">= 1600 jobs/s (censored)"`` or ``"none"``."""
+    if best is None:
+        return "none"
+    if censored:
+        return f">= {best:g} jobs/s (censored)"
+    return f"{best:g} jobs/s"
+
+
 def find_max_sustainable_rate(
     spec: ArrivalSpec,
     platform: Platform,
@@ -395,14 +419,15 @@ def find_max_sustainable_rate(
     rates_jobs_s: Sequence[float],
     slo_p99_ms: float,
     max_backlog: int = 64,
-) -> Tuple[Optional[float], List[RampPoint]]:
+) -> RampResult:
     """Ramp the offered load; report the highest rate meeting the SLO.
 
     A rate is *sustainable* when the open-loop wall P99 stays within
     ``slo_p99_ms``, nothing was shed, and no admitted job missed its
     deadline.  Returns ``(best_rate, points)`` with ``best_rate=None``
-    when even the lowest rate fails.  Wall P99 is measured, so the
-    answer is machine-dependent -- that is the point.
+    when even the lowest rate fails; ``.censored`` flags a ramp whose
+    top rate passed.  Wall P99 is measured, so the answer is
+    machine-dependent -- that is the point.
     """
     if slo_p99_ms <= 0.0:
         raise ValueError(f"slo_p99_ms must be positive, got {slo_p99_ms}")
@@ -426,4 +451,4 @@ def find_max_sustainable_rate(
         )
         if sustainable and (best is None or rate > best):
             best = rate
-    return best, points
+    return RampResult(best, points)

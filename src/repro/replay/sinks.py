@@ -279,10 +279,10 @@ async def replay_service(
     still declined.
 
     ``platform_cycle`` rotates each job through a sequence of platform
-    parameter overrides (job ``i`` gets entry ``i % len``).  A sharded
-    server routes by platform fingerprint, so a single-platform stream
-    exercises exactly one shard; cycling a handful of platforms is how
-    the service bench slice spreads open-loop load across all shards.
+    parameter overrides (job ``i`` gets entry ``i % len``).  The batcher
+    groups requests by platform fingerprint, so cycling a handful of
+    platforms makes the service bench slice form several batch groups
+    and cache-key families instead of one.
     """
     import asyncio
 

@@ -2,7 +2,7 @@
 
 Requests popped from the admission queue are grouped into *micro-batches*
 of compatible requests -- same platform fingerprint, same solver tier --
-in arrival order.  One batch is one dispatch to the persistent worker
+in arrival order.  One batch is one dispatch to the batcher's thread
 pool, where it:
 
 1. prices every request against the experiment engine's on-disk
@@ -96,7 +96,7 @@ def form_batches(
 
 
 # ---------------------------------------------------------------------------
-# Batch execution core (shared with the sharded worker tier)
+# Batch execution core
 # ---------------------------------------------------------------------------
 
 
@@ -106,17 +106,14 @@ def execute_batch_requests(
 ) -> List[Dict[str, object]]:
     """Price, prefetch and solve one compatible batch.
 
-    The deterministic core shared by the in-process :class:`Batcher` and
-    the sharded worker tier (:mod:`repro.service.shard`), which is what
-    makes the 1-shard/N-shard byte-identity contract hold by
-    construction.  Cache keys are scoped to this process's engine
-    (:func:`repro.core.vectorized.get_backend`).
+    The deterministic core :meth:`Batcher.run_batch` calls (through this
+    module attribute, so tracing can wrap it).  Cache keys are scoped to
+    this process's engine (:func:`repro.core.vectorized.get_backend`).
 
     Returns one outcome dict per request, in order: either
     ``{"ok": True, "result", "scheme", "cache", "solve_ms", "backend"}`` or
-    ``{"ok": False, "code", "message"}``.  Outcomes are plain JSON-able
-    data so they can cross a process boundary; the caller turns them into
-    wire responses and metrics on its side.
+    ``{"ok": False, "code", "message"}``; :func:`finalize_outcomes` turns
+    them into wire responses and metrics.
     """
     backend = vectorized.get_backend()
     # Resolve schemes and price the cache for the whole batch first...
@@ -200,16 +197,8 @@ def finalize_outcomes(
     outcomes: Sequence[Dict[str, object]],
     waits_ms: Sequence[float],
     metrics: MetricsRegistry,
-    *,
-    provenance_extra: Optional[Dict[str, object]] = None,
 ) -> List[Tuple[QueueEntry, Dict[str, object]]]:
-    """Turn outcome dicts into wire responses, recording per-request metrics.
-
-    Shared by the in-process batcher and the shard tier's parent side, so
-    response envelopes and the metrics they feed cannot drift between the
-    two execution paths.  ``provenance_extra`` is merged into each ok
-    response's provenance (the shard tier stamps its shard index there).
-    """
+    """Turn outcome dicts into wire responses, recording per-request metrics."""
     out: List[Tuple[QueueEntry, Dict[str, object]]] = []
     for entry, outcome, wait_ms in zip(entries, outcomes, waits_ms):
         request = entry.request
@@ -242,8 +231,6 @@ def finalize_outcomes(
             "cache": cache_state,
             "batch_size": len(entries),
         }
-        if provenance_extra:
-            provenance.update(provenance_extra)
         out.append(
             (
                 entry,
@@ -264,7 +251,7 @@ def finalize_outcomes(
 
 
 class Batcher:
-    """Executes micro-batches on a persistent worker pool.
+    """Executes micro-batches on a persistent thread pool.
 
     ``cache=None`` disables result caching (provenance reports ``"off"``).
     The pool is created once and survives for the service's lifetime;

@@ -184,12 +184,10 @@ class ServiceClient:
         occupancy-scaled hint cannot stall an open-loop replay -- and
         resends, up to ``max_attempts`` total sends.  The sleep is
         multiplied by a uniform factor in ``[1 - jitter, 1 + jitter]``
-        (then capped): without jitter, every client that a full shard
+        (then capped): without jitter, every client that a full queue
         rejected in the same window receives the same occupancy-scaled
         hint and retries in lockstep, re-colliding forever under
-        synchronized open-loop load.  Sharded servers stamp the rejecting
-        shard into the error envelope (``error["shard"]``), so terminal
-        sheds remain attributable per shard.  The final response is
+        synchronized open-loop load.  The final response is
         returned as-is (possibly still the error) so callers can count
         them.  ``on_backpressure(code, delay_ms)`` is invoked before each
         backoff sleep, for shed-retry accounting.
@@ -397,7 +395,6 @@ async def run_demo(
     cache_dir: Optional[str] = None,
     verify: bool = True,
     seed: int = 0,
-    shards: int = 0,
 ) -> DemoReport:
     """Fire ``n`` concurrent mixed solve requests and audit the results.
 
@@ -405,9 +402,7 @@ async def run_demo(
     ephemeral port (the full TCP path, not in-process shortcuts) and
     drained afterwards; otherwise an already-running server is targeted
     and ``capacity`` is only used as the queue-bound audit threshold.
-    ``shards`` selects the local server's execution tier (0 = inline
-    batcher, N = sharded worker pool); responses are verified
-    byte-identical against direct execution either way.
+    Responses are verified byte-identical against direct execution.
     """
     service: Optional[SolveService] = None
     server = None
@@ -417,7 +412,7 @@ async def run_demo(
             import tempfile
 
             cache = ResultCache(tempfile.mkdtemp(prefix="repro-service-demo-"))
-        service = SolveService(capacity=capacity, cache=cache, shards=shards)
+        service = SolveService(capacity=capacity, cache=cache)
         server = await service.serve_tcp("127.0.0.1", 0)
         host, port = server.sockets[0].getsockname()[:2]
     assert port is not None

@@ -319,12 +319,12 @@ def service_metrics(registry: Optional[MetricsRegistry] = None) -> MetricsRegist
 def labelled_name(name: str, **labels: object) -> str:
     """A Prometheus-style labelled series name.
 
-    ``labelled_name("repro_shard_queue_depth", shard=3)`` ->
-    ``'repro_shard_queue_depth{shard="3"}'``.  The registry treats the
+    ``labelled_name("repro_numeric_engine", engine="jit")`` ->
+    ``'repro_numeric_engine{engine="jit"}'``.  The registry treats the
     result as an ordinary metric name -- one instrument per label
     combination, the same scheme the lazy per-scheme energy counters use
     -- but the rendered text page keeps the label syntax, so scrapers can
-    aggregate across shards/workers with a plain label matcher.  Labels
+    aggregate across label values with a plain label matcher.  Labels
     render in sorted key order so a combination always maps to one name.
     """
     inner = ",".join(f'{key}="{labels[key]}"' for key in sorted(labels))

@@ -473,21 +473,11 @@ def error_envelope(
     code: str,
     message: str,
     retry_after_ms: Optional[float] = None,
-    *,
-    shard: Optional[int] = None,
 ) -> Dict[str, object]:
-    """The shared error object (service responses and CLI ``--json-errors``).
-
-    ``shard`` names the shard that rejected the request on a sharded
-    server (backpressure is per-shard there, so "which shard shed" is the
-    actionable half of a SHEDDING/QUEUE_FULL diagnosis); single-shard
-    servers omit the key, keeping their envelopes byte-stable.
-    """
+    """The shared error object (service responses and CLI ``--json-errors``)."""
     envelope: Dict[str, object] = {"code": code, "message": message}
     if retry_after_ms is not None:
         envelope["retry_after_ms"] = retry_after_ms
-    if shard is not None:
-        envelope["shard"] = shard
     return envelope
 
 
@@ -518,14 +508,12 @@ def error_response(
     code: str,
     message: str,
     retry_after_ms: Optional[float] = None,
-    *,
-    shard: Optional[int] = None,
 ) -> Dict[str, object]:
     return {
         "v": PROTOCOL_VERSION,
         "id": request_id,
         "ok": False,
-        "error": error_envelope(code, message, retry_after_ms, shard=shard),
+        "error": error_envelope(code, message, retry_after_ms),
     }
 
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.service.protocol import (
@@ -47,8 +47,6 @@ __all__ = [
     "AdmitResult",
     "QueueEntry",
     "AdmissionQueue",
-    "ShardedAdmissionQueue",
-    "split_capacity",
 ]
 
 
@@ -63,8 +61,6 @@ class QueueEntry:
     #: Free slot for the transport layer (the server parks the asyncio
     #: future that resolves into the client's response here).
     context: object = None
-    #: Shard that owns this entry (``None`` under the inline batcher).
-    shard: Optional[int] = None
 
     @property
     def lane(self) -> str:
@@ -83,10 +79,6 @@ class AdmitResult:
     code: Optional[str] = None
     message: Optional[str] = None
     retry_after_ms: Optional[float] = None
-    #: Shard that admitted or rejected the request (``None`` when the
-    #: service runs without shards).  Rejections carry it into the error
-    #: envelope so a client can see *which* shard shed it.
-    shard: Optional[int] = None
 
 
 class AdmissionQueue:
@@ -247,140 +239,3 @@ class AdmissionQueue:
             for lane in self._lanes.values():
                 lane.clear()
         return remaining
-
-
-# ---------------------------------------------------------------------------
-# Sharded admission: per-shard lanes behind one front door
-# ---------------------------------------------------------------------------
-
-
-def split_capacity(capacity: int, shards: int) -> List[int]:
-    """Split ``capacity`` seats exactly across ``shards`` queues.
-
-    The first ``capacity % shards`` shards take the remainder seat, so the
-    per-shard bounds always sum to the configured total -- the aggregate
-    ``depth_peak <= capacity`` audit survives sharding unchanged.
-    """
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
-    if capacity < shards:
-        raise ValueError(
-            f"capacity {capacity} cannot seat {shards} shards; every shard "
-            "needs at least one seat"
-        )
-    base, extra = divmod(capacity, shards)
-    return [base + (1 if index < extra else 0) for index in range(shards)]
-
-
-class ShardedAdmissionQueue:
-    """N per-shard :class:`AdmissionQueue` lanes behind one ``offer``.
-
-    ``router`` maps a request to its shard index (the service passes the
-    consistent-hash ring's lookup keyed on the platform fingerprint).
-    Each shard keeps the full two-lane shed/retry_after semantics over
-    its *own* slice of the capacity: one platform's burst degrades and
-    then fills only the shard it hashes to, while the other shards keep
-    admitting both lanes.  Rejections are stamped with the shard index so
-    the error envelope can surface which shard shed.
-    """
-
-    def __init__(
-        self,
-        shards: int,
-        router: Callable[[SolveRequest], int],
-        capacity: int = 256,
-        *,
-        shed_threshold: float = 0.8,
-        base_retry_after_ms: float = 250.0,
-        clock: Callable[[], float] = time.monotonic,
-    ):
-        seats = split_capacity(capacity, shards)
-        self.capacity = capacity
-        self.router = router
-        self.shards: List[AdmissionQueue] = [
-            AdmissionQueue(
-                seat_count,
-                shed_threshold=shed_threshold,
-                base_retry_after_ms=base_retry_after_ms,
-                clock=clock,
-            )
-            for seat_count in seats
-        ]
-        self._depth_peak = 0
-        #: Called (outside any lock) with the shard index after every
-        #: successful offer; the server wakes that shard's dispatch loop.
-        self.on_enqueue: Optional[Callable[[int], None]] = None
-        for index, shard_queue in enumerate(self.shards):
-            shard_queue.on_enqueue = self._notifier(index)
-
-    def _notifier(self, index: int) -> Callable[[], None]:
-        def notify() -> None:
-            if self.on_enqueue is not None:
-                self.on_enqueue(index)
-
-        return notify
-
-    # -- introspection ------------------------------------------------------
-
-    @property
-    def shard_count(self) -> int:
-        return len(self.shards)
-
-    @property
-    def depth(self) -> int:
-        return sum(shard.depth for shard in self.shards)
-
-    def shard_depth(self, shard: int) -> int:
-        return self.shards[shard].depth
-
-    def shard_depths(self) -> List[int]:
-        return [shard.depth for shard in self.shards]
-
-    @property
-    def depth_peak(self) -> int:
-        """Aggregate high-water mark (offers run on the event-loop thread,
-        so the post-offer sample below never misses a concurrent admit)."""
-        return self._depth_peak
-
-    def lane_depths(self) -> Dict[str, int]:
-        totals = {LANE_INTERACTIVE: 0, LANE_SWEEP: 0}
-        for shard in self.shards:
-            for lane, count in shard.lane_depths().items():
-                totals[lane] += count
-        return totals
-
-    @property
-    def degraded(self) -> bool:
-        """True while *any* shard is shedding its sweep lane."""
-        return any(shard.degraded for shard in self.shards)
-
-    # -- admission ----------------------------------------------------------
-
-    def offer(self, request: SolveRequest) -> AdmitResult:
-        """Route ``request`` to its shard and delegate admission."""
-        shard = self.router(request)
-        if not 0 <= shard < len(self.shards):
-            raise ValueError(
-                f"router returned shard {shard}, valid range is "
-                f"0..{len(self.shards) - 1}"
-            )
-        result = self.shards[shard].offer(request)
-        if result.admitted:
-            assert result.entry is not None
-            result.entry.shard = shard
-            self._depth_peak = max(self._depth_peak, self.depth)
-        return replace(result, shard=shard)
-
-    # -- dispatch -----------------------------------------------------------
-
-    def pop_shard_batch(
-        self, shard: int, max_items: int
-    ) -> Tuple[List[QueueEntry], List[QueueEntry], List[QueueEntry]]:
-        """One shard's ``(ready, expired, cancelled)`` slice."""
-        return self.shards[shard].pop_batch(max_items)
-
-    def cancel(self, request_id: str) -> bool:
-        return any(shard.cancel(request_id) for shard in self.shards)
-
-    def drain(self) -> List[QueueEntry]:
-        return [entry for shard in self.shards for entry in shard.drain()]

@@ -30,34 +30,23 @@ from __future__ import annotations
 import asyncio
 import signal
 import sys
-import time
-from typing import Dict, List, Optional, Set, Union
+from typing import Dict, List, Optional, Set
 
 from repro.core import vectorized
 from repro.experiments.cache import ResultCache
 from repro.service import protocol
-from repro.service.batcher import Batcher, finalize_outcomes, form_batches
+from repro.service.batcher import Batcher, form_batches
 from repro.service.metrics import MetricsRegistry, labelled_name, service_metrics
-from repro.service.queue import AdmissionQueue, QueueEntry, ShardedAdmissionQueue
-from repro.service.shard import ShardPool
+from repro.service.queue import AdmissionQueue, QueueEntry
 
 __all__ = ["SolveService", "run_server"]
 
 
 class SolveService:
-    """Queue + execution tier + metrics behind one ``handle_message`` door.
+    """Queue + batcher + metrics behind one ``handle_message`` door.
 
-    Two execution tiers share every other layer:
-
-    * ``shards=0`` (default) -- the inline :class:`Batcher` on a thread
-      pool in this process, the original single-core path;
-    * ``shards=N`` -- the sharded worker-pool tier: a consistent-hash
-      ring routes each request's platform fingerprint to one of N
-      long-lived worker processes (:class:`~repro.service.shard.ShardPool`),
-      each fed by its own admission lane
-      (:class:`~repro.service.queue.ShardedAdmissionQueue`) and its own
-      dispatch loop, all sharing the on-disk result cache.  Responses are
-      byte-identical across tiers and shard counts.
+    One execution path: admission queue -> dispatch loop ->
+    :class:`Batcher` thread pool in this process.
     """
 
     def __init__(
@@ -68,32 +57,15 @@ class SolveService:
         batch_window_ms: float = 10.0,
         max_batch: int = 32,
         workers: int = 1,
-        shards: int = 0,
         cache: Optional[ResultCache] = None,
         metrics: Optional[MetricsRegistry] = None,
     ):
-        if shards < 0:
-            raise ValueError(f"shards must be >= 0, got {shards}")
         self.metrics = service_metrics(metrics)
-        self.shards = shards
-        self.queue: Union[AdmissionQueue, ShardedAdmissionQueue]
-        if shards > 0:
-            self.shard_pool: Optional[ShardPool] = ShardPool(shards, cache=cache)
-            self.queue = ShardedAdmissionQueue(
-                shards,
-                self.shard_pool.route,
-                capacity,
-                shed_threshold=shed_threshold,
-            )
-            self.queue.on_enqueue = self._on_shard_enqueue
-            self.batcher: Optional[Batcher] = None
-        else:
-            self.shard_pool = None
-            self.queue = AdmissionQueue(capacity, shed_threshold=shed_threshold)
-            self.queue.on_enqueue = self._on_enqueue
-            self.batcher = Batcher(
-                cache, self.metrics, workers=workers, max_batch=max_batch
-            )
+        self.queue = AdmissionQueue(capacity, shed_threshold=shed_threshold)
+        self.queue.on_enqueue = self._on_enqueue
+        self.batcher = Batcher(
+            cache, self.metrics, workers=workers, max_batch=max_batch
+        )
         self.batch_window_ms = batch_window_ms
         self.max_batch = max_batch
         #: One dispatch pops at most this many entries; several batches may
@@ -102,23 +74,14 @@ class SolveService:
         self._draining = False
         self._wake: Optional[asyncio.Event] = None
         self._dispatch_task: Optional[asyncio.Task] = None
-        self._shard_wakes: List[asyncio.Event] = []
-        self._shard_tasks: List[asyncio.Task] = []
         self._inflight: Set[asyncio.Task] = set()
         self._connections: Set[asyncio.StreamWriter] = set()
 
     # -- lifecycle -----------------------------------------------------------
 
     async def start(self) -> None:
-        """Start the dispatch loop(s) (idempotent)."""
-        if self._dispatch_task is not None or self._shard_tasks:
-            return
-        if self.shard_pool is not None:
-            self._shard_wakes = [asyncio.Event() for _ in range(self.shards)]
-            self._shard_tasks = [
-                asyncio.create_task(self._shard_dispatch_loop(index))
-                for index in range(self.shards)
-            ]
+        """Start the dispatch loop (idempotent)."""
+        if self._dispatch_task is not None:
             return
         self._wake = asyncio.Event()
         self._dispatch_task = asyncio.create_task(self._dispatch_loop())
@@ -128,64 +91,24 @@ class SolveService:
         return self._draining
 
     async def drain(self) -> None:
-        """Stop admitting, finish queued + in-flight work, stop the tier.
-
-        On the sharded tier each worker's in-flight batch completes (the
-        per-shard loops exit only at depth zero, and ``_inflight`` is
-        awaited), its memo stats are flushed into per-shard gauges, and
-        only then is its process shut down.
-        """
+        """Stop admitting, finish queued + in-flight work, stop the batcher."""
         self._draining = True
         if self._wake is not None:
             self._wake.set()
-        for wake in self._shard_wakes:
-            wake.set()
         if self._dispatch_task is not None:
             await self._dispatch_task
             self._dispatch_task = None
-        if self._shard_tasks:
-            await asyncio.gather(*self._shard_tasks)
-            self._shard_tasks = []
         while self._inflight:
             await asyncio.gather(*list(self._inflight), return_exceptions=True)
-        if self.batcher is not None:
-            self.batcher.shutdown()
-        if self.shard_pool is not None:
-            self._flush_shard_stats()
-            self.shard_pool.shutdown()
-
-    def _flush_shard_stats(self) -> None:
-        """Publish every worker's memo telemetry as per-shard gauges."""
-        assert self.shard_pool is not None
-        for index in range(len(self.shard_pool)):
-            try:
-                stats = self.shard_pool.memo_stats(index)
-            except Exception:
-                # A worker that died mid-drain has no stats to flush; the
-                # loss stays observable via the error counter.
-                self.metrics.counter("repro_errors_total").inc()
-                continue
-            for key, value in sorted(stats.items()):
-                self.metrics.gauge(
-                    labelled_name(f"repro_shard_{key}", shard=index)
-                ).set(value)
+        self.batcher.shutdown()
 
     def _on_enqueue(self) -> None:
         if self._wake is not None:
             self._wake.set()
 
-    def _on_shard_enqueue(self, shard: int) -> None:
-        if shard < len(self._shard_wakes):
-            self._shard_wakes[shard].set()
-
     def _update_queue_gauges(self) -> None:
         self.metrics.gauge("repro_queue_depth").set(self.queue.depth)
         self.metrics.gauge("repro_degraded").set(1.0 if self.queue.degraded else 0.0)
-        if isinstance(self.queue, ShardedAdmissionQueue):
-            for index, depth in enumerate(self.queue.shard_depths()):
-                self.metrics.gauge(
-                    labelled_name("repro_shard_queue_depth", shard=index)
-                ).set(depth)
 
     def _update_engine_gauge(self) -> None:
         """Export the numeric engine (``jit`` or ``numpy``) this process
@@ -251,17 +174,9 @@ class SolveService:
                 self.metrics.counter("repro_rejected_queue_full_total").inc()
             else:
                 self.metrics.counter("repro_rejected_shed_total").inc()
-            if admit.shard is not None:
-                self.metrics.counter(
-                    labelled_name("repro_shard_rejected_total", shard=admit.shard)
-                ).inc()
             self._update_queue_gauges()
             return protocol.error_response(
-                request.id,
-                admit.code,
-                admit.message,
-                admit.retry_after_ms,
-                shard=admit.shard,
+                request.id, admit.code, admit.message, admit.retry_after_ms
             )
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         admit.entry.context = future
@@ -300,7 +215,6 @@ class SolveService:
 
     async def _dispatch_loop(self) -> None:
         assert self._wake is not None
-        assert self.batcher is not None
         while True:
             if self.queue.depth == 0:
                 if self._draining:
@@ -326,99 +240,6 @@ class SolveService:
 
     async def _finish_batch(self, batch_future: "asyncio.Future") -> None:
         for entry, response in await batch_future:
-            self._resolve(entry, response)
-
-    # -- sharded dispatch ----------------------------------------------------
-
-    async def _shard_dispatch_loop(self, index: int) -> None:
-        """One shard's dispatch loop: pop its lane, batch, feed its worker."""
-        assert isinstance(self.queue, ShardedAdmissionQueue)
-        wake = self._shard_wakes[index]
-        while True:
-            if self.queue.shard_depth(index) == 0:
-                if self._draining:
-                    break
-                try:
-                    await asyncio.wait_for(wake.wait(), timeout=0.1)
-                except asyncio.TimeoutError:
-                    continue
-                wake.clear()
-                continue
-            if self.batch_window_ms > 0.0:
-                await asyncio.sleep(self.batch_window_ms / 1000.0)
-            ready, expired, cancelled = self.queue.pop_shard_batch(
-                index, self.pop_limit
-            )
-            self._update_queue_gauges()
-            self._fail_stale(expired, cancelled)
-            for batch in form_batches(ready, self.max_batch):
-                task = asyncio.create_task(self._run_shard_batch(index, batch))
-                self._inflight.add(task)
-                task.add_done_callback(self._inflight.discard)
-
-    async def _run_shard_batch(
-        self, index: int, entries: List[QueueEntry]
-    ) -> None:
-        """Ship one formed batch to shard ``index``'s worker process.
-
-        The parent side mirrors :meth:`Batcher.run_batch` metric for
-        metric, then finalizes the worker's outcome dicts through the
-        same :func:`finalize_outcomes` path -- only the provenance's
-        ``shard`` stamp distinguishes the tiers on the wire.
-        """
-        assert self.shard_pool is not None
-        if not entries:
-            return
-        metrics = self.metrics
-        metrics.counter("repro_batches_total").inc()
-        metrics.counter(
-            labelled_name("repro_shard_batches_total", shard=index)
-        ).inc()
-        metrics.histogram("repro_batch_size").observe(len(entries))
-        if len(entries) > 1:
-            metrics.counter("repro_batched_requests_total").inc(len(entries))
-        inflight = metrics.gauge("repro_inflight")
-        inflight.inc(len(entries))
-        try:
-            dispatched = time.monotonic()
-            waits_ms = [
-                max(0.0, (dispatched - entry.enqueued_at) * 1000.0)
-                for entry in entries
-            ]
-            future = self.shard_pool.submit(
-                index, [entry.request for entry in entries]
-            )
-            outcomes = await asyncio.wrap_future(future)
-            responses = finalize_outcomes(
-                entries,
-                outcomes,
-                waits_ms,
-                metrics,
-                provenance_extra={"shard": index},
-            )
-        except Exception as exc:
-            # A dead worker process fails the whole batch; every admitted
-            # request still gets its terminal response.
-            metrics.counter("repro_errors_total").inc(len(entries))
-            responses = [
-                (
-                    entry,
-                    protocol.error_response(
-                        entry.request.id,
-                        protocol.E_INTERNAL,
-                        f"shard {index} worker failure: "
-                        f"{type(exc).__name__}: {exc}",
-                        shard=index,
-                    ),
-                )
-                for entry in entries
-            ]
-        finally:
-            inflight.dec(len(entries))
-        metrics.counter(
-            labelled_name("repro_shard_requests_total", shard=index)
-        ).inc(len(entries))
-        for entry, response in responses:
             self._resolve(entry, response)
 
     @staticmethod

@@ -234,6 +234,20 @@ class TestBenchAndCache:
         assert trajectory[0] == legacy
         assert all("generated_at" in entry for entry in trajectory[1:])
 
+    def test_bench_service_slice_times_one_tier(self, capsys, tmp_path):
+        report_path = os.path.join(tmp_path, "BENCH_experiments.json")
+        args = ["bench", "--quick", "--slice", "service", "--out", report_path]
+        assert main(args) == 0
+        assert "cold" in capsys.readouterr().out
+        with open(report_path, encoding="utf-8") as handle:
+            report = json.load(handle)["trajectory"][-1]
+        assert set(report["passes"]) == {"cold", "warm"}
+        assert set(report["modes"]) == {"serial_cold", "warm_cache"}
+        assert "worker_counts" not in report["slice"]
+        for row in report["passes"].values():
+            assert row["done"] == report["slice"]["n"]
+            assert row["shed"] == row["errors"] == 0
+
     def test_cache_stats_and_clear(self, capsys, tmp_path):
         cache_dir = os.path.join(tmp_path, "cache")
         report_path = os.path.join(tmp_path, "bench.json")
@@ -332,6 +346,13 @@ class TestServiceCli:
         response = json.loads(capsys.readouterr().out)
         assert response["ok"] is True
         assert response["result"]["scheme"] == "common-release-overhead"
+
+    @pytest.mark.parametrize("command", ["serve", "submit"])
+    def test_shards_flag_is_gone(self, capsys, command):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--shards", "1"])
+        assert excinfo.value.code == 2
+        assert "--shards" in capsys.readouterr().err
 
     def test_serve_stats_prints_metrics_page(self, capsys):
         with background_server() as port:

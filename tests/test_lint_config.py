@@ -16,7 +16,6 @@ import pytest
 from repro.lint.config import (
     DEFAULT_SANCTIONED_JIT_MODULES,
     DEFAULT_SANCTIONED_NUMPY_MODULES,
-    DEFAULT_SHARD_STATE_MODULES,
     DEFAULT_UNIT_TAGGED_MODULES,
     ConfigError,
     LintConfig,
@@ -242,36 +241,6 @@ class TestLoadConfig:
             """,
         )
         with pytest.raises(ConfigError, match="unknown"):
-            load_config(root)
-
-    def test_shard_state_key_defaults(self, tmp_path):
-        config = load_config(str(tmp_path))
-        assert config.shard_state_modules == DEFAULT_SHARD_STATE_MODULES
-        assert "repro.service.shard" in config.shard_state_modules
-
-    def test_shard_state_key_parsed_independently(self, tmp_path):
-        root = self._write(
-            tmp_path,
-            """
-            [tool.repro-lint]
-            shard-state-modules = ["repro.service.pool"]
-            """,
-        )
-        config = load_config(root)
-        assert config.shard_state_modules == ("repro.service.pool",)
-        assert (
-            config.sanctioned_numpy_modules == DEFAULT_SANCTIONED_NUMPY_MODULES
-        )
-
-    def test_shard_state_key_scalar_rejected(self, tmp_path):
-        root = self._write(
-            tmp_path,
-            """
-            [tool.repro-lint]
-            shard-state-modules = "repro.service.shard"
-            """,
-        )
-        with pytest.raises(ConfigError, match="shard-state-modules"):
             load_config(root)
 
     def test_config_error_is_usage_error(self):

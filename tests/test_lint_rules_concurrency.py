@@ -301,96 +301,3 @@ class TestSwallowedExceptionCON004:
             str(tmp_path), {"tests/test_sample.py": source}, rules=["CON004"]
         )
         assert rule_ids(findings) == ["CON004"]
-
-
-class TestShardSharedStateCON005:
-    def test_module_level_dict_literal_flagged(self, tmp_path):
-        source = """
-            _MEMO = {}
-
-            def lookup(key):
-                return _MEMO.get(key)
-        """
-        findings = run_lint(
-            str(tmp_path), {"src/repro/service/shard.py": source}, rules=["CON005"]
-        )
-        assert rule_ids(findings) == ["CON005"]
-
-    def test_annotated_and_constructor_bindings_flagged(self, tmp_path):
-        source = """
-            from collections import defaultdict
-            from typing import Dict
-
-            _BY_SHARD: Dict[str, int] = dict()
-            _QUEUES = defaultdict(list)
-        """
-        findings = run_lint(
-            str(tmp_path), {"src/repro/service/ring.py": source}, rules=["CON005"]
-        )
-        assert rule_ids(findings) == ["CON005", "CON005"]
-
-    def test_class_level_list_flagged(self, tmp_path):
-        source = """
-            class Pool:
-                pending = []
-        """
-        findings = run_lint(
-            str(tmp_path), {"src/repro/service/shard.py": source}, rules=["CON005"]
-        )
-        assert rule_ids(findings) == ["CON005"]
-
-    def test_function_locals_and_immutables_allowed(self, tmp_path):
-        source = """
-            VNODES = 128
-            NAMES = ("a", "b")
-
-            def build():
-                local = {}
-                local["x"] = 1
-                return local
-        """
-        findings = run_lint(
-            str(tmp_path), {"src/repro/service/shard.py": source}, rules=["CON005"]
-        )
-        assert findings == []
-
-    def test_sanctioned_channels_allowed(self, tmp_path):
-        source = """
-            from repro.service.cache import ResultCache
-            from repro.service.metrics import MetricsRegistry
-
-            _CACHE = ResultCache("/tmp/cache")
-            _METRICS = MetricsRegistry()
-        """
-        findings = run_lint(
-            str(tmp_path), {"src/repro/service/shard.py": source}, rules=["CON005"]
-        )
-        assert findings == []
-
-    def test_pragma_suppresses(self, tmp_path):
-        source = """
-            # repro-lint: allow[CON005] per-process memo by design
-            _MEMO = {}
-        """
-        findings = run_lint(
-            str(tmp_path), {"src/repro/service/shard.py": source}, rules=["CON005"]
-        )
-        assert findings == []
-
-    def test_out_of_scope_module_not_flagged(self, tmp_path):
-        source = """
-            _MEMO = {}
-        """
-        findings = run_lint(
-            str(tmp_path), {"src/repro/service/batcher.py": source}, rules=["CON005"]
-        )
-        assert findings == []
-
-    def test_dunder_all_exempt(self, tmp_path):
-        source = """
-            __all__ = ["one", "two"]
-        """
-        findings = run_lint(
-            str(tmp_path), {"src/repro/service/shard.py": source}, rules=["CON005"]
-        )
-        assert findings == []

@@ -17,6 +17,7 @@ from repro.replay import (
     LatencyStats,
     ReplayReport,
     find_max_sustainable_rate,
+    format_sustainable_rate,
     open_loop_latency_ms,
     percentile,
     replay_inprocess,
@@ -200,6 +201,39 @@ class TestSloRamp:
         )
         assert best is None
         assert points[0].sustainable is False
+
+    def test_every_point_passing_is_censored(self, platform):
+        spec = ArrivalSpec(mode="poisson", n=100, seed=6)
+        ramp = find_max_sustainable_rate(
+            spec,
+            platform,
+            rates_jobs_s=[50.0, 100.0],
+            slo_p99_ms=10_000.0,
+            max_backlog=64,
+        )
+        assert ramp.best == 100.0
+        assert ramp.censored is True
+        assert (
+            format_sustainable_rate(ramp.best, ramp.censored)
+            == ">= 100 jobs/s (censored)"
+        )
+
+    def test_failing_top_point_is_not_censored(self, platform):
+        # The top rate's backlog overflows max_backlog=1 and sheds, so it
+        # fails the SLO whatever the wall clock says; the lower rate's
+        # jobs never overlap, so it passes.
+        spec = ArrivalSpec(mode="poisson", n=100, seed=6)
+        ramp = find_max_sustainable_rate(
+            spec,
+            platform,
+            rates_jobs_s=[0.01, 1e6],
+            slo_p99_ms=10_000.0,
+            max_backlog=1,
+        )
+        assert [p.sustainable for p in ramp.points] == [True, False]
+        assert ramp.best == 0.01
+        assert ramp.censored is False
+        assert format_sustainable_rate(ramp.best, ramp.censored) == "0.01 jobs/s"
 
     def test_bad_slo_rejected(self, platform):
         with pytest.raises(ValueError):

@@ -10,7 +10,12 @@ import pytest
 
 from repro.experiments.cache import ResultCache
 from repro.service import protocol
-from repro.service.client import ServiceClient, demo_wire_requests, run_demo
+from repro.service.client import (
+    ServiceClient,
+    demo_wire_requests,
+    expected_result,
+    run_demo,
+)
 from repro.service.server import SolveService
 
 
@@ -224,6 +229,42 @@ class TestLifecycle:
 
         run(with_service(body, capacity=4, shed_threshold=0.5, batch_window_ms=120.0))
 
+    def test_queue_full_envelope_has_no_shard_key(self):
+        async def body():
+            # Never started: offers accumulate until the bound trips.
+            service = SolveService(capacity=4, shed_threshold=1.0)
+            for i in range(4):
+                request = protocol.request_from_wire(solve_wire(f"fill{i}"))
+                assert service.queue.offer(request).admitted
+            response = await service.handle_message(solve_wire("overflow"))
+            await service.drain()
+            return response
+
+        response = run(body())
+        assert response["ok"] is False
+        assert set(response["error"]) == {"code", "message", "retry_after_ms"}
+
+    def test_no_lost_or_duplicated_responses_across_drain(self, tmp_path):
+        cache = ResultCache(str(tmp_path / "cache-drain"))
+        wires = [solve_wire(f"d{i}") for i in range(24)]
+
+        async def body():
+            service = SolveService(cache=cache, capacity=64, batch_window_ms=5.0)
+            await service.start()
+            tasks = [
+                asyncio.create_task(service.handle_message(dict(w)))
+                for w in wires
+            ]
+            await asyncio.sleep(0)  # let every request enqueue
+            await service.drain()
+            return await asyncio.gather(*tasks)
+
+        responses = run(body())
+        ids = [r["id"] for r in responses]
+        assert sorted(ids) == sorted(w["id"] for w in wires)
+        assert len(set(ids)) == len(wires)
+        assert all(r["ok"] for r in responses)
+
 
 class TestTcpTransport:
     def test_pipelined_out_of_order_responses(self):
@@ -362,6 +403,45 @@ class TestCachePersistence:
         assert protocol.canonical_result_bytes(
             first["result"]
         ) == protocol.canonical_result_bytes(second["result"])
+
+
+class TestByteIdentity:
+    def test_results_match_direct_cold_and_warm(self, tmp_path):
+        """Served canonical bytes equal the direct in-process solve, on a
+        cold cache and again on the warm repeat."""
+        wires = [
+            w
+            for w in demo_wire_requests(12, unique=4, seed=3)
+            if w.get("kind") == "solve"
+        ]
+        expected = [
+            protocol.canonical_result_bytes(expected_result(dict(w)))
+            for w in wires
+        ]
+
+        async def body(service):
+            passes = []
+            for _ in range(2):  # cold, then warm
+                passes.append(
+                    await asyncio.gather(
+                        *[service.handle_message(dict(w)) for w in wires]
+                    )
+                )
+            return passes
+
+        passes = run(
+            with_service(
+                body,
+                cache=ResultCache(str(tmp_path / "cache")),
+                capacity=256,
+                batch_window_ms=0.0,
+            )
+        )
+        for label, responses in zip(("cold", "warm"), passes):
+            assert all(r["ok"] for r in responses), label
+            got = [protocol.canonical_result_bytes(r["result"]) for r in responses]
+            assert got == expected, label
+        assert {r["provenance"]["cache"] for r in passes[1]} == {"hit"}
 
 
 class TestSignals:
